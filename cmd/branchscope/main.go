@@ -46,27 +46,24 @@
 // Resilience (see DESIGN §3.15): -chaos attaches a deterministic fault
 // injector to the run; -retry N switches the spy to the resilient
 // per-bit majority-vote read, reporting bits whose vote stays
-// ambiguous as unknown rather than silently wrong.
+// ambiguous as unknown rather than silently wrong. The covert run is
+// one root task on -seed, so -checkpoint/-resume and -breaker, which
+// only apply to multi-task campaigns, exit 2.
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"branchscope/internal/cliutil"
 	"branchscope/internal/cpu"
 	"branchscope/internal/engine"
 	"branchscope/internal/experiments"
-	"branchscope/internal/fabric"
-	"branchscope/internal/obs"
-	"branchscope/internal/runstore"
-	"branchscope/internal/telemetry"
 	"branchscope/internal/trace"
 	"branchscope/internal/uarch"
 )
@@ -155,22 +152,12 @@ func run() (code int) {
 		setting = experiments.Noisy
 	}
 
-	// The single root task this CLI runs, as /statusz reports it.
-	tracker := obs.NewTracker("branchscope", *seed, false, []string{"covert"})
-	opts := cliutil.Options{
+	sess, err := cliutil.NewSession("branchscope", obsFlags, cliutil.Options{
 		// The registry is always on (the CLI is not a hot path; the -v
 		// table reads it); the tracer only when its output is
 		// requested, since it retains every event.
 		ForceMetrics: true,
-		Status:       tracker.Status,
-		Ready:        tracker.Ready,
-	}
-	var wk *fabric.Worker
-	if obsFlags.Worker {
-		wk = &fabric.Worker{}
-		opts.Fabric = wk.Handler()
-	}
-	sess, err := cliutil.NewSession("branchscope", obsFlags, opts)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
@@ -186,9 +173,16 @@ func run() (code int) {
 			}
 		}
 	}()
-	reg := sess.Metrics
-	set := telemetry.New(reg, sess.Trace)
+	plan, err := obsFlags.ChaosPlan(*seed)
+	if err != nil {
+		return usageErr("branchscope: %v", err)
+	}
 
+	// The covert run as the one root task. Its Run ignores the
+	// engine-derived seed and uses -seed: the root seed is what the run
+	// records, and in fabric mode the assignment identity check
+	// guarantees both sides share -seed and every covert knob. Chaos,
+	// retry and telemetry reach it through the run's context overrides.
 	cfg := experiments.CovertConfig{
 		Model:     m,
 		Setting:   setting,
@@ -198,99 +192,44 @@ func run() (code int) {
 		SGX:       *sgxMode,
 		UseTiming: *timing,
 		Seed:      *seed,
-		Telemetry: set,
 	}
-	plan, err := obsFlags.ChaosPlan(*seed)
-	if err != nil {
-		return usageErr("branchscope: %v", err)
-	}
-	if plan != nil {
-		sess.Log.Info("chaos enabled", "plan", plan.String())
-		cfg.Chaos = plan
-	}
-	if rc := obsFlags.RetryConfig(); rc != nil {
-		cfg.Retry = *rc
-	}
-
-	// Causal run identity over the result-shaping knobs only (sink
-	// paths and execution shape excluded); stamped into the ledger
-	// record, /statusz, and — under -archive — the run manifest.
-	idCfg, err := obsFlags.IdentityConfig(*seed)
-	if err != nil {
-		return usageErr("branchscope: %v", err)
-	}
-	idCfg["model"] = m.Name
-	idCfg["bits"] = *bits
-	idCfg["runs"] = *runs
-	idCfg["pattern"] = *pattern
-	idCfg["setting"] = setting.String()
-	idCfg["sgx"] = *sgxMode
-	idCfg["timing"] = *timing
-
-	// The covert run as an engine task. Its Run deliberately ignores
-	// the engine-derived seed and uses the flag config: in fabric mode
-	// the assignment identity check guarantees both sides share -seed
-	// and every covert knob, and local mode's output (which runs with
-	// the bare -seed, not a task-derived one) stays the oracle.
-	covertTask := engine.Task{
-		ID: "covert", Artifact: "covert channel",
-		Run: func(ctx context.Context, _ engine.Config) (engine.Result, error) {
-			return experiments.RunCovert(ctx, cfg)
-		},
-	}
-
-	// Worker mode: serve the covert task to a coordinator until
-	// interrupted; everything below (identity, archive, report) is
-	// coordinator-side.
-	if wk != nil {
-		wk.Program = "branchscope"
-		wk.BaseSeed = *seed
-		wk.Config = idCfg
-		wk.Resolve = func(id string) (engine.Task, bool) {
-			if id != "covert" {
-				return engine.Task{}, false
-			}
-			return covertTask, true
-		}
-		wk.Runner = &engine.Runner{
-			OnStart: func(t engine.Task, s uint64) {
-				tracker.Begin(t.ID, *seed)
-				sess.Log.Info("task start", "id", t.ID, "seed", *seed)
-			},
-			OnDone: func(rep engine.Report) {
-				tracker.End(rep.Task.ID, rep.Wall, rep.Outcome(), rep.Err)
-				sess.Log.Info("task done", "id", rep.Task.ID, "outcome", rep.Outcome())
-			},
-		}
-		wk.RunCfg = engine.Config{Seed: *seed}
-		if plan != nil {
-			// Worker-targeted chaos crash: exit(3) right after the Nth
-			// streamed outcome.
-			wk.CrashAfter = plan.CrashPoint()
-		}
-		wk.Logf = func(format string, args ...any) { sess.Log.Info(fmt.Sprintf(format, args...)) }
-		wctx, wstop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer wstop()
-		sess.Log.Info("fabric worker serving", "task", "covert", "crash_after", wk.CrashAfter)
-		<-wctx.Done()
-		sess.Log.Info("fabric worker interrupted, shutting down")
-		return 0
-	}
-
-	identity := runstore.Identity{
-		Program: "branchscope", BaseSeed: *seed, Tasks: []string{"covert"}, Config: idCfg,
-	}
-	runID := identity.RunID()
-	sess.SetRunID(runID)
-	arc := obsFlags.Archiver(identity)
-	sess.SetArchiver(arc)
-
 	var recorders []*trace.Recorder
 	if *traced {
 		cfg.SpyHook = func(ctx *cpu.Context) {
 			recorders = append(recorders, trace.Attach(ctx, 64))
 		}
 	}
+	covert := engine.Task{
+		ID: "covert", Artifact: "covert channel",
+		Run: func(ctx context.Context, _ engine.Config) (engine.Result, error) {
+			return experiments.RunCovert(ctx, cfg)
+		},
+	}
+	knobs := map[string]any{
+		"model":   m.Name,
+		"bits":    *bits,
+		"runs":    *runs,
+		"pattern": *pattern,
+		"setting": setting.String(),
+		"sgx":     *sgxMode,
+		"timing":  *timing,
+	}
+	ledger := map[string]any{"chaos": obsFlags.Chaos, "retry": obsFlags.Retry}
+	maps.Copy(ledger, knobs)
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	reports, err := sess.Execute(ctx, cliutil.Plan{
+		Program: "branchscope", Seed: *seed, Tasks: []engine.Task{covert}, Root: true,
+		Config: knobs, LedgerConfig: ledger,
+	})
+	if reports == nil {
+		if err != nil {
+			return usageErr("branchscope: %v", err)
+		}
+		return 0 // a -worker served until interrupted
+	}
+
 	fmt.Printf("BranchScope covert channel: %s, %s, %s, %d bits x %d run(s)",
 		m, setting, pat, *bits, *runs)
 	if *sgxMode {
@@ -302,159 +241,20 @@ func run() (code int) {
 	if plan != nil {
 		fmt.Printf(", chaos %s", obsFlags.Chaos)
 	}
-	if cfg.Retry.MaxAttempts > 0 {
-		fmt.Printf(", retry budget %d", cfg.Retry.MaxAttempts)
+	if obsFlags.Retry > 0 {
+		fmt.Printf(", retry budget %d", obsFlags.Retry)
 	}
 	fmt.Println()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	ledgerConfig := map[string]any{
-		"model":   m.Name,
-		"bits":    *bits,
-		"runs":    *runs,
-		"pattern": *pattern,
-		"setting": setting.String(),
-		"sgx":     *sgxMode,
-		"timing":  *timing,
-		"chaos":   obsFlags.Chaos,
-		"retry":   obsFlags.Retry,
+	rep := reports[0]
+	if rep.Err != nil {
+		return 1
 	}
-	tracker.Begin("covert", *seed)
-	sess.Deltas.Begin("covert")
-	sess.Log.Info("task start", "id", "covert", "seed", *seed, "model", m.Name, "bits", *bits, "runs", *runs)
-	if obsFlags.Watchdog > 0 {
-		w := time.AfterFunc(obsFlags.Watchdog, func() {
-			tracker.MarkStuck("covert")
-			sess.Log.Warn("task stuck past watchdog", "id", "covert", "watchdog", obsFlags.Watchdog.String())
-		})
-		defer w.Stop()
-	}
-	start := time.Now()
-
-	// Coordinator mode: dispatch the covert task to the worker pool and
-	// settle the merged report through the same ledger/archive surface
-	// as the local path. The report and export blobs are byte-identical
-	// to a local run (the worker's result text and rows round-trip
-	// verbatim through the replay path); the stdout summary prints the
-	// merged result line instead of the local per-field breakdown.
-	if len(workerURLs) > 0 {
-		coord := &fabric.Coordinator{
-			Workers:   workerURLs,
-			Program:   "branchscope",
-			BaseSeed:  *seed,
-			Config:    idCfg,
-			RunID:     runID,
-			Local:     &engine.Runner{RunID: runID},
-			LocalCfg:  engine.Config{Seed: *seed},
-			OnDegrade: func(reason string) { sess.Log.Warn("fabric degraded", "reason", reason) },
-			Logf:      func(format string, args ...any) { sess.Log.Info(fmt.Sprintf(format, args...)) },
-		}
-		reports, jerr := coord.Run(ctx, []engine.Task{covertTask})
-		if jerr != nil {
-			sess.Log.Error("fabric journal", "err", jerr)
-		}
-		rep := reports[0]
-		wall := time.Since(start)
-		tracker.End("covert", wall, "", rep.Err)
-		// Seed and outcome are normalized to the local run's: the fabric
-		// derives a per-task seed (which the covert task ignores — see
-		// above) and marks merged successes "replayed".
-		outcome := runstore.CanonicalOutcome(rep.Outcome(), rep.Attempts)
-		rec := obs.LedgerRecord{
-			Program:      "branchscope",
-			ID:           "covert",
-			Artifact:     "covert channel",
-			Config:       ledgerConfig,
-			BaseSeed:     *seed,
-			Seed:         *seed,
-			Outcome:      outcome,
-			WallSeconds:  wall.Seconds(),
-			MetricsDelta: sess.Deltas.End("covert"),
-		}
-		rec.Leakage = obs.LeakageFields(rec.MetricsDelta)
-		if rep.Err != nil {
-			rec.Error = rep.Err.Error()
-			arc.Record(runstore.TaskOutcome{ID: "covert", Seed: *seed, Outcome: outcome, Error: rep.Err.Error()})
-			if lerr := sess.Ledger.Append(rec); lerr != nil {
-				sess.Log.Error("appending ledger record", "err", lerr)
-			}
-			sess.Log.Error("task failed", "id", "covert", "outcome", outcome, "err", rep.Err)
-			return 1
-		}
-		rec.ResultDigest = obs.Digest(rep.Result.String())
-		if lerr := sess.Ledger.Append(rec); lerr != nil {
-			sess.Log.Error("appending ledger record", "err", lerr)
-		}
-		arc.Record(runstore.TaskOutcome{ID: "covert", Seed: *seed, Outcome: outcome})
-		if arc != nil {
-			arc.AddBlob("report", []byte(rep.Result.String()))
-			exp := engine.Report{
-				Task:   engine.Task{ID: "covert", Artifact: "covert channel"},
-				Seed:   *seed,
-				RunID:  runID,
-				Result: rep.Result,
-			}
-			var export bytes.Buffer
-			if werr := engine.WriteJSON(&export, engine.ExportMeta{BaseSeed: *seed, RunID: runID}, []engine.Report{exp}); werr != nil {
-				sess.Log.Error("rendering archive export", "err", werr)
-			} else {
-				arc.AddBlob("export", export.Bytes())
-			}
-		}
-		sess.Log.Info("task done", "id", "covert", "outcome", outcome, "wall", wall.String())
+	res, local := rep.Result.(experiments.CovertResult)
+	if !local {
+		// A -coordinator prints the worker's merged result line.
 		fmt.Println(rep.Result.String())
 		return 0
 	}
-
-	res, err := experiments.RunCovert(ctx, cfg)
-	wall := time.Since(start)
-	tracker.End("covert", wall, "", err)
-	rec := obs.LedgerRecord{
-		Program:  "branchscope",
-		ID:       "covert",
-		Artifact: "covert channel",
-		Config:   ledgerConfig,
-		BaseSeed: *seed,
-		Seed:     *seed,
-		Outcome:  obs.OutcomeOf(err),
-		// WallSeconds is the one nondeterministic ledger field.
-		WallSeconds:  wall.Seconds(),
-		MetricsDelta: sess.Deltas.End("covert"),
-	}
-	rec.Leakage = obs.LeakageFields(rec.MetricsDelta)
-	if err != nil {
-		rec.Error = err.Error()
-		arc.Record(runstore.TaskOutcome{ID: "covert", Seed: *seed, Outcome: rec.Outcome, Error: err.Error()})
-		if lerr := sess.Ledger.Append(rec); lerr != nil {
-			sess.Log.Error("appending ledger record", "err", lerr)
-		}
-		sess.Log.Error("task failed", "id", "covert", "outcome", rec.Outcome, "err", err)
-		return 1
-	}
-	rec.ResultDigest = obs.Digest(res.String())
-	if lerr := sess.Ledger.Append(rec); lerr != nil {
-		sess.Log.Error("appending ledger record", "err", lerr)
-	}
-	arc.Record(runstore.TaskOutcome{ID: "covert", Seed: *seed, Outcome: rec.Outcome})
-	if arc != nil {
-		arc.AddBlob("report", []byte(res.String()))
-		rep := engine.Report{
-			Task:   engine.Task{ID: "covert", Artifact: "covert channel"},
-			Seed:   *seed,
-			RunID:  runID,
-			Result: res,
-		}
-		var export bytes.Buffer
-		if werr := engine.WriteJSON(&export, engine.ExportMeta{BaseSeed: *seed, RunID: runID}, []engine.Report{rep}); werr != nil {
-			sess.Log.Error("rendering archive export", "err", werr)
-		} else {
-			arc.AddBlob("export", export.Bytes())
-		}
-	}
-	sess.Log.Info("task done", "id", "covert", "outcome", "ok",
-		"wall", wall.String(), "error_rate", res.ErrorRate)
 
 	if *verbose {
 		for i, r := range res.PerRun {
@@ -483,7 +283,7 @@ func run() (code int) {
 	}
 	if *verbose {
 		fmt.Println("metrics:")
-		if err := reg.Snapshot().WriteText(os.Stdout); err != nil {
+		if err := sess.Metrics.Snapshot().WriteText(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}

@@ -87,9 +87,6 @@ func diffManifests(a, b runstore.Manifest) []string {
 		}
 	}
 
-	if a.DegradedProbes != b.DegradedProbes {
-		diffs = append(diffs, fmt.Sprintf("degraded_probes: %d vs %d", a.DegradedProbes, b.DegradedProbes))
-	}
 	if len(a.Breakers) != 0 || len(b.Breakers) != 0 {
 		ba, _ := json.Marshal(a.Breakers)
 		bb, _ := json.Marshal(b.Breakers)

@@ -86,9 +86,6 @@ func cmdShow(args []string) error {
 		fmt.Println()
 	}
 	fmt.Printf("counts  %s\n", countsLine(m.Counts))
-	if m.DegradedProbes > 0 {
-		fmt.Printf("degraded_probes %d\n", m.DegradedProbes)
-	}
 	for _, b := range m.Breakers {
 		fmt.Printf("breaker %s state=%s skipped=%d\n", b.Family, b.State, b.Skipped)
 	}

@@ -112,7 +112,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -121,17 +120,12 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"branchscope/internal/campaign"
 	"branchscope/internal/cliutil"
 	"branchscope/internal/engine"
 	"branchscope/internal/experiments"
-	"branchscope/internal/fabric"
-	"branchscope/internal/obs"
-	"branchscope/internal/runstore"
 	"branchscope/internal/svc"
 	"branchscope/internal/telemetry"
 )
@@ -167,8 +161,7 @@ func run() (code int) {
 	// (see internal/fabric and DESIGN §3.20). Execution-shape flags:
 	// like -parallel they never change what the run produces, only
 	// where it executes, so they stay out of the run identity.
-	workerURLs, err := obsFlags.FabricWorkers()
-	if err != nil {
+	if _, err := obsFlags.FabricWorkers(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		flag.Usage()
 		return 2
@@ -219,6 +212,9 @@ func run() (code int) {
 		}
 		return 0
 	}
+	if obsFlags.Service {
+		return serveJobs(ctx, obsFlags, pool)
+	}
 
 	var selected []experiments.Experiment
 	if flag.NArg() == 0 {
@@ -235,51 +231,8 @@ func run() (code int) {
 		}
 	}
 	tasks := experiments.Tasks(selected)
-	ids := make([]string, len(tasks))
-	for i, t := range tasks {
-		ids[i] = t.ID
-	}
 
-	tracker := obs.NewTracker("experiments", *seed, *quick, ids)
-	breakers := obsFlags.Breakers()
-	var sess *cliutil.Session
-	var service *svc.Service
-	// /statusz reflects breaker state and probe degradations alongside
-	// task progress; /readyz degrades while any family's breaker is open.
-	statusFn := func() obs.Status {
-		st := tracker.Status()
-		for _, b := range breakers.Status() {
-			st.Breakers = append(st.Breakers, obs.BreakerStatus{
-				Family: b.Family, State: b.State,
-				ConsecutiveFailures: b.ConsecutiveFailures, Skipped: b.Skipped,
-			})
-		}
-		if sess != nil && sess.Metrics != nil {
-			st.DegradedProbes = sess.Metrics.Counter("core.probe.degradations").Value()
-		}
-		st.Service = service.Status()
-		return st
-	}
-	// Worker mode mounts the fabric endpoint on the -serve server; the
-	// worker's runner and identity fields are filled in below, before
-	// any coordinator can find the process ready. Service mode mounts
-	// the /jobs handler the same way (503 until Start wires it below).
-	var wk *fabric.Worker
-	opts := cliutil.Options{
-		Status: statusFn,
-		Ready: func() bool {
-			return tracker.Ready() && !breakers.AnyOpen() && (service == nil || service.Ready())
-		},
-	}
-	if obsFlags.Worker {
-		wk = &fabric.Worker{}
-		opts.Fabric = wk.Handler()
-	}
-	if obsFlags.Service {
-		service = svc.New()
-		opts.Jobs = service.Handler()
-	}
-	sess, err = cliutil.NewSession("experiments", obsFlags, opts)
+	sess, err := cliutil.NewSession("experiments", obsFlags, cliutil.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
@@ -295,328 +248,25 @@ func run() (code int) {
 			}
 		}
 	}()
-
-	// Experiment harnesses that boot simulated machines (the
-	// covert-channel cells) pick the process-wide set up automatically.
-	reg := sess.Metrics
-	if reg != nil || sess.Trace != nil {
-		experiments.SetDefaultTelemetry(telemetry.New(reg, sess.Trace))
-		defer experiments.SetDefaultTelemetry(nil)
+	if sess.Metrics != nil && pool == nil {
+		attributeCycles(tasks, sess.Metrics)
 	}
 
-	// -chaos/-retry reach every covert measurement the suite regenerates
-	// through the same process-wide default idiom. The robustness sweep
-	// pins its own plan and budget per cell, so its axes stay clean even
-	// under these flags.
-	plan, err := obsFlags.ChaosPlan(*seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		flag.Usage()
-		return 2
-	}
-	if plan != nil {
-		sess.Log.Info("chaos enabled", "plan", plan.String())
-		// A crash-only plan must not perturb the simulation: only plans
-		// with episode faults become the process-wide default.
-		if plan.HasEpisodeFaults() {
-			experiments.SetDefaultChaos(plan)
-			defer experiments.SetDefaultChaos(nil)
-		}
-	}
-	if rc := obsFlags.RetryConfig(); rc != nil {
-		experiments.SetDefaultRetry(rc)
-		defer experiments.SetDefaultRetry(nil)
-	}
-
-	// The shared result-shaping config: the run identity's Config, and
-	// the fabric identity basis workers verify assignments against.
-	idCfg, err := obsFlags.IdentityConfig(*seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 2
-	}
-	if *timeout > 0 {
-		idCfg["timeout"] = timeout.String()
-	}
-
-	ledgerConfig := map[string]any{
-		"quick":    *quick,
-		"parallel": *parallel,
-		"timeout":  timeout.String(),
-	}
-	var done atomic.Int64
-	runner := &engine.Runner{
-		Pool:     pool,
-		Timeout:  *timeout,
-		Retry:    obsFlags.RetryPolicy(),
-		Watchdog: obsFlags.Watchdog,
-		Breakers: breakers,
-		OnStuck: func(t engine.Task, seed uint64) {
-			tracker.MarkStuck(t.ID)
-			sess.Log.Warn("task stuck past watchdog", "id", t.ID, "seed", seed,
-				"watchdog", obsFlags.Watchdog.String())
-		},
-		OnStart: func(t engine.Task, seed uint64) {
-			tracker.Begin(t.ID, seed)
-			sess.Deltas.Begin(t.ID)
-			sess.Log.Info("task start", "id", t.ID, "artifact", t.Artifact, "seed", seed)
-		},
-		OnDone: func(rep engine.Report) {
-			n := done.Add(1)
-			tracker.End(rep.Task.ID, rep.Wall, rep.Outcome(), rep.Err)
-			delta := sess.Deltas.End(rep.Task.ID)
-			attrs := []any{
-				"id", rep.Task.ID, "seed", rep.Seed, "outcome", rep.Outcome(),
-				"wall", rep.Wall.Round(time.Millisecond).String(),
-				"n", n, "total", len(tasks),
-			}
-			if rep.Err != nil {
-				sess.Log.Error("task failed", append(attrs, "err", rep.Err)...)
-			} else {
-				sess.Log.Info("task done", attrs...)
-			}
-			if reg != nil {
-				reg.Gauge("experiments." + rep.Task.ID + ".wall_seconds").Set(rep.Wall.Seconds())
-			}
-			rec := obs.LedgerRecord{
-				Program:  "experiments",
-				ID:       rep.Task.ID,
-				Artifact: rep.Task.Artifact,
-				Config:   ledgerConfig,
-				BaseSeed: *seed,
-				Seed:     rep.Seed,
-				Outcome:  rep.Outcome(),
-				// WallSeconds is the one nondeterministic ledger field.
-				WallSeconds:  rep.Wall.Seconds(),
-				MetricsDelta: delta,
-				Leakage:      obs.LeakageFields(delta),
-			}
-			if rep.Err != nil {
-				rec.Error = rep.Err.Error()
-			} else {
-				rec.ResultDigest = obs.Digest(rep.Result.String())
-			}
-			if err := sess.Ledger.Append(rec); err != nil {
-				sess.Log.Error("appending ledger record", "id", rep.Task.ID, "err", err)
-			}
-		},
-	}
-
-	// Worker mode: serve fabric assignments until interrupted. The
-	// worker never selects tasks or derives a suite identity — the
-	// coordinator owns both — so everything below (identity, archive,
-	// campaign, report rendering) stays coordinator-side.
-	if wk != nil {
-		wkRunner := *runner
-		// Circuit breaking is coordinator-central: the coordinator
-		// admits tasks against its breaker set before dispatch, which
-		// is what propagates a family tripped on one worker to all.
-		wkRunner.Breakers = nil
-		byID := map[string]engine.Task{}
-		for _, t := range experiments.Tasks(experiments.All()) {
-			byID[t.ID] = t
-		}
-		wk.Program = "experiments"
-		wk.BaseSeed = *seed
-		wk.Quick = *quick
-		wk.Config = idCfg
-		wk.Resolve = func(id string) (engine.Task, bool) {
-			t, ok := byID[id]
-			return t, ok
-		}
-		wk.Runner = &wkRunner
-		wk.RunCfg = engine.Config{Quick: *quick, Seed: *seed}
-		if plan != nil {
-			// The chaos crash fault class, worker-targeted: exit(3)
-			// right after the Nth streamed outcome, instead of after
-			// the Nth journaled one.
-			wk.CrashAfter = plan.CrashPoint()
-		}
-		wk.Logf = func(format string, args ...any) { sess.Log.Info(fmt.Sprintf(format, args...)) }
-		sess.Log.Info("fabric worker serving", "tasks", len(byID), "crash_after", wk.CrashAfter)
-		<-ctx.Done()
-		sess.Log.Info("fabric worker interrupted, shutting down")
-		return 0
-	}
-
-	// Service mode: host the campaign job service until interrupted.
-	// Job specs carry their own chaos/retry knobs; Isolate installs them
-	// as context-scoped overrides so a job never inherits this CLI's
-	// -chaos/-retry defaults — or another tenant's. Crash faults never
-	// apply in-process (a job spec must not kill the service), which
-	// matches the identity: Spec identities zero the crash point too.
-	if service != nil {
-		isolate := func(jctx context.Context, sp svc.Spec) context.Context {
-			ov := &experiments.Overrides{Retry: sp.Flags().RetryConfig()}
-			if p, err := sp.Flags().ChaosPlan(sp.Seed()); err == nil && p != nil && p.HasEpisodeFaults() {
-				ov.Chaos = p
-			}
-			return experiments.WithOverrides(jctx, ov)
-		}
-		err := service.Start(svc.Config{
-			Program:     "experiments",
-			Tasks:       experiments.Tasks(experiments.All()),
-			Pool:        pool,
-			ArchiveDir:  obsFlags.Archive,
-			JournalPath: obsFlags.SvcJournal,
-			Limits: svc.Limits{
-				Jobs: obsFlags.SvcJobs, Queue: obsFlags.SvcQueue,
-				TenantRunning: obsFlags.SvcTenantRunning, TenantQueue: obsFlags.SvcTenantQueue,
-			},
-			Isolate: isolate,
-			Log:     sess.Log,
-		})
+	reports, err := sess.Execute(ctx, cliutil.Plan{
+		Program: "experiments", Seed: *seed, Quick: *quick, Tasks: tasks,
+		Pool: pool, Timeout: *timeout,
+		LedgerConfig: map[string]any{"quick": *quick, "parallel": *parallel, "timeout": timeout.String()},
+		Files:        map[string]string{"md": *mdPath},
+	})
+	if reports == nil {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 2
 		}
-		defer service.Close()
-		sess.Log.Info("campaign service serving",
-			"archive", obsFlags.Archive, "journal", obsFlags.SvcJournal)
-		<-ctx.Done()
-		// Drain: stop admissions (new submissions get 503 + Retry-After),
-		// give running jobs a bounded grace window, then cancel them.
-		// Queued jobs stay journaled; a restart re-enqueues them.
-		sess.Log.Info("campaign service interrupted, draining")
-		dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer dcancel()
-		service.Drain(dctx)
-		return 0
+		return 0 // a -worker served until interrupted
 	}
-
-	// Causal run identity: a digest of the result-shaping inputs only,
-	// so the same logical run keeps one RunID across -parallel widths
-	// and crash+-resume. The ID is stamped everywhere results land; the
-	// archiver (nil without -archive, and nil-safe) snapshots every sink
-	// plus a branchscope.run/v1 manifest when the session closes.
-	identity := runstore.Identity{
-		Program: "experiments", BaseSeed: *seed, Quick: *quick, Tasks: ids, Config: idCfg,
-	}
-	runID := identity.RunID()
-	sess.SetRunID(runID)
-	arc := obsFlags.Archiver(identity)
-	sess.SetArchiver(arc)
-	arc.AddFile("journal", obsFlags.Checkpoint)
-	arc.AddFile("md", *mdPath)
-
-	// -checkpoint/-resume make the suite durable: every outcome is
-	// journaled as it completes, and a resumed run replays the journal
-	// and re-runs only what's missing, with the same derived seeds.
-	camp, err := obsFlags.Campaign(campaign.Header{
-		Program: "experiments", BaseSeed: *seed, Quick: *quick, Tasks: ids, RunID: runID,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 2
-	}
-	if camp != nil {
-		defer camp.Journal.Close()
-		if plan != nil {
-			camp.CrashAfter = plan.CrashPoint()
-		}
-		sess.Log.Info("campaign journal open", "path", camp.Journal.Path(),
-			"replayed", len(camp.Replayed), "crash_after", camp.CrashAfter)
-	}
-
-	// Per-experiment simulated-cycle attribution only works when one
-	// experiment owns the process-wide counter at a time.
-	if reg != nil && pool == nil {
-		simCycles := reg.Counter("covert.simulated_cycles")
-		for i := range tasks {
-			t := tasks[i]
-			inner := t.Run
-			tasks[i].Run = func(ctx context.Context, cfg engine.Config) (engine.Result, error) {
-				before := simCycles.Value()
-				res, err := inner(ctx, cfg)
-				reg.Gauge("experiments." + t.ID + ".simulated_cycles").Set(float64(simCycles.Value() - before))
-				return res, err
-			}
-		}
-	}
-
-	runner.RunID = runID
-	var reports []engine.Report
-	var journalErr error
-	ecfg := engine.Config{Quick: *quick, Seed: *seed}
-	switch {
-	case len(workerURLs) > 0:
-		// Coordinator mode: shard the task list across the worker pool
-		// and merge the streamed outcomes. Degrades to local execution
-		// (with the runner above) when no worker is reachable.
-		coord := &fabric.Coordinator{
-			Workers:  workerURLs,
-			Program:  "experiments",
-			BaseSeed: *seed,
-			Quick:    *quick,
-			Config:   idCfg,
-			RunID:    runID,
-			Breakers: breakers,
-			Campaign: camp,
-			Local:    runner,
-			LocalCfg: ecfg,
-			OnDone:   runner.OnDone,
-			OnDegrade: func(reason string) {
-				sess.Log.Warn("fabric degraded to local execution", "reason", reason)
-			},
-			Logf: func(format string, args ...any) { sess.Log.Info(fmt.Sprintf(format, args...)) },
-		}
-		reports, journalErr = coord.Run(ctx, tasks)
-		// Fabric mode zeroes Wall like campaign mode: merged exports
-		// must be byte-identical to a single-process run's.
-		for i := range reports {
-			reports[i].Wall = 0
-		}
-	case camp != nil:
-		reports, journalErr = camp.Run(ctx, runner, tasks, ecfg)
-		// Wall time is the one nondeterministic report field; campaign
-		// mode zeroes it so an interrupted-and-resumed run's exports are
-		// byte-identical to an uninterrupted run's.
-		for i := range reports {
-			reports[i].Wall = 0
-		}
-	default:
-		reports = runner.RunSuite(ctx, tasks, ecfg)
-	}
+	journalErr := err
 	engine.FormatText(os.Stdout, reports)
-
-	if arc != nil {
-		// The archived report/export blobs are rendered over a
-		// wall-zeroed copy so the manifest digests stay byte-identical
-		// across -parallel widths and crash+-resume (campaign mode has
-		// already zeroed Wall; plain runs haven't).
-		arcReports := append([]engine.Report(nil), reports...)
-		for i := range arcReports {
-			arcReports[i].Wall = 0
-		}
-		for _, rep := range arcReports {
-			o := runstore.TaskOutcome{
-				ID: rep.Task.ID, Seed: rep.Seed,
-				Outcome: rep.Outcome(), Attempts: rep.Attempts,
-			}
-			if rep.Err != nil {
-				o.Error = rep.Err.Error()
-			}
-			arc.Record(o)
-		}
-		var report, export bytes.Buffer
-		engine.FormatText(&report, arcReports)
-		arc.AddBlob("report", report.Bytes())
-		if err := engine.WriteJSON(&export, engine.ExportMeta{BaseSeed: *seed, Quick: *quick, RunID: runID}, arcReports); err != nil {
-			sess.Log.Error("rendering archive export", "err", err)
-		} else {
-			arc.AddBlob("export", export.Bytes())
-		}
-		var sums []runstore.BreakerSummary
-		for _, b := range breakers.Status() {
-			if b.State != "closed" || b.Skipped > 0 {
-				sums = append(sums, runstore.BreakerSummary{Family: b.Family, State: b.State, Skipped: b.Skipped})
-			}
-		}
-		arc.SetBreakers(sums)
-		if reg != nil {
-			arc.SetDegradedProbes(reg.Counter("core.probe.degradations").Value())
-		}
-	}
 
 	if *mdPath != "" {
 		var md strings.Builder
@@ -646,7 +296,7 @@ func run() (code int) {
 	}
 	if *jsonPath != "" {
 		err := cliutil.WriteFile(*jsonPath, func(w io.Writer) error {
-			return engine.WriteJSON(w, engine.ExportMeta{BaseSeed: *seed, Quick: *quick, RunID: runID}, reports)
+			return engine.WriteJSON(w, engine.ExportMeta{BaseSeed: *seed, Quick: *quick, RunID: sess.RunID()}, reports)
 		})
 		if err != nil {
 			sess.Log.Error("writing JSON export", "path", *jsonPath, "err", err)
@@ -662,5 +312,71 @@ func run() (code int) {
 		sess.Log.Error("suite finished with failures", "failed", n, "total", len(reports))
 		return 1
 	}
+	return 0
+}
+
+// attributeCycles records each task's simulated cycles in the suite's
+// registry. Attribution is exact only when one task owns the
+// process-wide cycle counter at a time, so only sequential runs do it.
+func attributeCycles(tasks []engine.Task, reg *telemetry.Registry) {
+	simCycles := reg.Counter("covert.simulated_cycles")
+	for i := range tasks {
+		id, run := tasks[i].ID, tasks[i].Run
+		tasks[i].Run = func(ctx context.Context, cfg engine.Config) (engine.Result, error) {
+			before := simCycles.Value()
+			res, err := run(ctx, cfg)
+			reg.Gauge("experiments." + id + ".simulated_cycles").Set(float64(simCycles.Value() - before))
+			return res, err
+		}
+	}
+}
+
+// serveJobs hosts the campaign job service (see internal/svc and
+// DESIGN §3.21) until interrupted, then drains it: admissions stop
+// (new submissions get 503 + Retry-After), running jobs get a bounded
+// grace window, then are canceled. Queued jobs stay journaled; a
+// restart re-enqueues them. Each job runs its spec's own plan, never
+// this process's -chaos/-retry; crash faults never apply in-process (a
+// spec must not kill the service), matching the identity, which zeroes
+// the crash point too.
+func serveJobs(ctx context.Context, flags cliutil.Flags, pool *engine.Pool) (code int) {
+	service := svc.New()
+	sess, err := cliutil.NewSession("experiments", flags, cliutil.Options{Jobs: service})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		return 2
+	}
+	defer func() {
+		if err := sess.Close(); err != nil {
+			sess.Log.Error("flushing observability exports", "err", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
+	err = service.Start(svc.Config{
+		Program:     "experiments",
+		Tasks:       experiments.Tasks(experiments.All()),
+		Pool:        pool,
+		ArchiveDir:  flags.Archive,
+		JournalPath: flags.SvcJournal,
+		Limits: svc.Limits{
+			Jobs: flags.SvcJobs, Queue: flags.SvcQueue,
+			TenantRunning: flags.SvcTenantRunning, TenantQueue: flags.SvcTenantQueue,
+		},
+		Log: sess.Log,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		return 2
+	}
+	defer service.Close()
+	sess.Log.Info("campaign service serving", "archive", flags.Archive, "journal", flags.SvcJournal)
+	<-ctx.Done()
+	sess.Log.Info("campaign service interrupted, draining")
+	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer dcancel()
+	service.Drain(dctx)
 	return 0
 }

@@ -15,15 +15,21 @@
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Observability (shared surface, see internal/cliutil): the flags above
-// match cmd/branchscope and cmd/experiments exactly. -metrics-out and
-// -trace-out export the mapping run's telemetry (simulated cycles only,
-// deterministic per seed, flushed even on SIGINT); -serve exposes
-// /metrics, /statusz, /healthz, /readyz and /debug/pprof live during
-// the run; -ledger-out appends one branchscope.ledger/v1 provenance
-// record with the run's config, seed, outcome and result digest.
-// -archive <dir> snapshots every sink plus a branchscope.run/v1
-// manifest under <dir>/<run-id>/, where <run-id> digests only the
-// result-shaping knobs (see internal/runstore; inspect with cmd/bsctl).
+// match cmd/branchscope and cmd/experiments exactly. -serve exposes
+// /statusz, /healthz, /readyz and /debug/pprof live during the run;
+// -ledger-out appends one branchscope.ledger/v1 provenance record with
+// the run's config, seed, outcome and result digest. -archive <dir>
+// snapshots every sink plus a branchscope.run/v1 manifest under
+// <dir>/<run-id>/, where <run-id> digests only the result-shaping knobs
+// (see internal/runstore; inspect with cmd/bsctl). The mapper records
+// no telemetry of its own: -metrics-out writes an empty registry
+// (null counters, gauges and histograms) and -trace-out an empty
+// trace, accepted for flag parity only.
+//
+// The mapping pass is one root task on the -seed it was given, so the
+// flags that only apply to multi-task campaigns or covert reads —
+// -checkpoint/-resume, -breaker, -retry, the fabric and service modes —
+// exit 2 rather than mint a new run ID for identical output.
 //
 // Predictor introspection (see DESIGN §3.17): after the mapping pass
 // RunFig5 publishes the decoded machine's BPU snapshot — per-entry
@@ -40,24 +46,20 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/signal"
 	"strconv"
 	"syscall"
-	"time"
 
 	"branchscope/internal/chaos"
 	"branchscope/internal/cliutil"
 	"branchscope/internal/engine"
 	"branchscope/internal/experiments"
-	"branchscope/internal/obs"
-	"branchscope/internal/runstore"
 	"branchscope/internal/sched"
-	"branchscope/internal/telemetry"
 	"branchscope/internal/uarch"
 )
 
@@ -86,28 +88,18 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "bad -start: %v\n", err)
 		return 2
 	}
-	if err := obsFlags.RequireNoCampaign("phtmap"); err != nil {
-		fmt.Fprintln(os.Stderr, "phtmap:", err)
-		flag.Usage()
-		return 2
-	}
-	if err := obsFlags.RequireNoFabric("phtmap"); err != nil {
-		fmt.Fprintln(os.Stderr, "phtmap:", err)
-		flag.Usage()
-		return 2
-	}
-	if err := obsFlags.RequireNoService("phtmap"); err != nil {
-		fmt.Fprintln(os.Stderr, "phtmap:", err)
-		flag.Usage()
-		return 2
+	for _, require := range []func(string) error{
+		obsFlags.RequireNoCampaign, obsFlags.RequireNoFabric,
+		obsFlags.RequireNoService, obsFlags.RequireNoRetry,
+	} {
+		if err := require("phtmap"); err != nil {
+			fmt.Fprintln(os.Stderr, "phtmap:", err)
+			flag.Usage()
+			return 2
+		}
 	}
 
-	// The single mapping task this CLI runs, as /statusz reports it.
-	tracker := obs.NewTracker("phtmap", *seed, false, []string{"fig5"})
-	sess, err := cliutil.NewSession("phtmap", obsFlags, cliutil.Options{
-		Status: tracker.Status,
-		Ready:  tracker.Ready,
-	})
+	sess, err := cliutil.NewSession("phtmap", obsFlags, cliutil.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
@@ -123,19 +115,13 @@ func run() (code int) {
 			}
 		}
 	}()
-	if sess.Metrics != nil || sess.Trace != nil {
-		experiments.SetDefaultTelemetry(telemetry.New(sess.Metrics, sess.Trace))
-		defer experiments.SetDefaultTelemetry(nil)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	// The mapper probes in a flat loop with no episode structure, so a
 	// requested chaos plan runs self-clocked: the injector synthesizes
 	// an episode boundary every few counter reads (roughly one probed
-	// address). -retry has no resilient loop to switch on here and is
-	// accepted for flag parity only.
+	// address). Only plans with episode faults install an injector: a
+	// crash-only plan has nothing to inject here and must not perturb
+	// the mapping.
 	plan, err := obsFlags.ChaosPlan(*seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "phtmap:", err)
@@ -143,110 +129,51 @@ func run() (code int) {
 		return 2
 	}
 	var prepare func(*sched.System)
-	// Only plans with episode faults install an injector: a crash-only
-	// plan has nothing to inject here and must not perturb the mapping.
 	if plan != nil && plan.HasEpisodeFaults() {
-		sess.Log.Info("chaos enabled", "plan", plan.String(), "mode", "self-clocked")
 		prepare = func(sys *sched.System) {
 			inj := chaos.NewInjector(sys, *plan)
 			inj.SelfClock(4)
 		}
 	}
+	// The mapping pass as the one root task, on the root seed.
+	fig5 := engine.Task{
+		ID: "fig5", Artifact: "Figure 5",
+		Run: func(ctx context.Context, _ engine.Config) (engine.Result, error) {
+			return experiments.RunFig5(ctx, experiments.Fig5Config{
+				Model:         m,
+				Start:         startAddr,
+				Addresses:     *count,
+				BlockBranches: *block,
+				Pairs:         *pairs,
+				Prepare:       prepare,
+				Seed:          *seed,
+			})
+		},
+	}
+	knobs := map[string]any{
+		"model":     m.Name,
+		"start":     *start,
+		"addresses": *count,
+		"block":     *block,
+		"pairs":     *pairs,
+	}
+	ledger := map[string]any{"chaos": obsFlags.Chaos}
+	maps.Copy(ledger, knobs)
 
-	// Causal run identity over the result-shaping knobs only (sink
-	// paths and execution shape excluded); stamped into the ledger
-	// record, /statusz, and — under -archive — the run manifest.
-	idCfg, err := obsFlags.IdentityConfig(*seed)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	reports, err := sess.Execute(ctx, cliutil.Plan{
+		Program: "phtmap", Seed: *seed, Tasks: []engine.Task{fig5}, Root: true,
+		Config: knobs, LedgerConfig: ledger,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "phtmap:", err)
-		flag.Usage()
 		return 2
 	}
-	idCfg["model"] = m.Name
-	idCfg["start"] = *start
-	idCfg["addresses"] = *count
-	idCfg["block"] = *block
-	idCfg["pairs"] = *pairs
-	identity := runstore.Identity{
-		Program: "phtmap", BaseSeed: *seed, Tasks: []string{"fig5"}, Config: idCfg,
-	}
-	runID := identity.RunID()
-	sess.SetRunID(runID)
-	arc := obsFlags.Archiver(identity)
-	sess.SetArchiver(arc)
-
-	tracker.Begin("fig5", *seed)
-	sess.Deltas.Begin("fig5")
-	sess.Log.Info("task start", "id", "fig5", "seed", *seed, "model", m.Name, "start", *start)
-	if obsFlags.Watchdog > 0 {
-		w := time.AfterFunc(obsFlags.Watchdog, func() {
-			tracker.MarkStuck("fig5")
-			sess.Log.Warn("task stuck past watchdog", "id", "fig5", "watchdog", obsFlags.Watchdog.String())
-		})
-		defer w.Stop()
-	}
-	begin := time.Now()
-	res, err := experiments.RunFig5(ctx, experiments.Fig5Config{
-		Model:         m,
-		Start:         startAddr,
-		Addresses:     *count,
-		BlockBranches: *block,
-		Pairs:         *pairs,
-		Prepare:       prepare,
-		Seed:          *seed,
-	})
-	wall := time.Since(begin)
-	tracker.End("fig5", wall, "", err)
-	rec := obs.LedgerRecord{
-		Program:  "phtmap",
-		ID:       "fig5",
-		Artifact: "Figure 5",
-		Config: map[string]any{
-			"model":     m.Name,
-			"start":     *start,
-			"addresses": *count,
-			"block":     *block,
-			"pairs":     *pairs,
-			"chaos":     obsFlags.Chaos,
-		},
-		BaseSeed: *seed,
-		Seed:     *seed,
-		Outcome:  obs.OutcomeOf(err),
-		// WallSeconds is the one nondeterministic ledger field.
-		WallSeconds:  wall.Seconds(),
-		MetricsDelta: sess.Deltas.End("fig5"),
-	}
-	rec.Leakage = obs.LeakageFields(rec.MetricsDelta)
-	if err != nil {
-		rec.Error = err.Error()
-		arc.Record(runstore.TaskOutcome{ID: "fig5", Seed: *seed, Outcome: rec.Outcome, Error: err.Error()})
-		if lerr := sess.Ledger.Append(rec); lerr != nil {
-			sess.Log.Error("appending ledger record", "err", lerr)
-		}
-		sess.Log.Error("task failed", "id", "fig5", "outcome", rec.Outcome, "err", err)
+	rep := reports[0]
+	if rep.Err != nil {
 		return 1
 	}
-	rec.ResultDigest = obs.Digest(res.String())
-	if lerr := sess.Ledger.Append(rec); lerr != nil {
-		sess.Log.Error("appending ledger record", "err", lerr)
-	}
-	arc.Record(runstore.TaskOutcome{ID: "fig5", Seed: *seed, Outcome: rec.Outcome})
-	if arc != nil {
-		arc.AddBlob("report", []byte(res.String()))
-		rep := engine.Report{
-			Task:   engine.Task{ID: "fig5", Artifact: "Figure 5"},
-			Seed:   *seed,
-			RunID:  runID,
-			Result: res,
-		}
-		var export bytes.Buffer
-		if werr := engine.WriteJSON(&export, engine.ExportMeta{BaseSeed: *seed, RunID: runID}, []engine.Report{rep}); werr != nil {
-			sess.Log.Error("rendering archive export", "err", werr)
-		} else {
-			arc.AddBlob("export", export.Bytes())
-		}
-	}
-	sess.Log.Info("task done", "id", "fig5", "outcome", "ok", "wall", wall.String())
-	fmt.Print(res)
+	fmt.Print(rep.Result)
 	return 0
 }

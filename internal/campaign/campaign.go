@@ -84,7 +84,7 @@ func Resume(path string, want Header) (*Campaign, error) {
 		buf = append(buf, line...)
 		completed = append(completed, rec)
 	}
-	if err := writeAtomic(path, buf); err != nil {
+	if err := WriteAtomic(path, buf); err != nil {
 		return nil, fmt.Errorf("campaign: compacting journal: %w", err)
 	}
 	j, err := open(path)

@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
-	"sync"
 )
 
 // Schema versions journal records; bump on incompatible change.
@@ -112,13 +110,10 @@ func frame(kind string, payload any) ([]byte, error) {
 }
 
 // Journal is an open campaign journal. Appends are mutex-serialized,
-// flushed and fsynced per record.
+// flushed and fsynced per record (see Appender).
 type Journal struct {
 	path string
-
-	mu       sync.Mutex
-	f        *os.File
-	appended int
+	app  *Appender
 }
 
 // Create writes a fresh journal for the run atomically (temp-file +
@@ -130,7 +125,7 @@ func Create(path string, h Header) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: encoding journal header: %w", err)
 	}
-	if err := writeAtomic(path, line); err != nil {
+	if err := WriteAtomic(path, line); err != nil {
 		return nil, fmt.Errorf("campaign: creating journal: %w", err)
 	}
 	return open(path)
@@ -138,34 +133,11 @@ func Create(path string, h Header) (*Journal, error) {
 
 // open opens an existing journal file for appending.
 func open(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	app, err := OpenAppender(path)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: opening journal: %w", err)
+		return nil, err
 	}
-	return &Journal{path: path, f: f}, nil
-}
-
-// writeAtomic writes data to path via a sibling temp file, fsync and
-// rename, so path either holds the complete content or its old one.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return &Journal{path: path, app: app}, nil
 }
 
 // Load reads a journal tolerantly: it returns the header, every valid
@@ -249,38 +221,14 @@ func parseLine(line []byte, n int) (envelope, error) {
 // Append journals one task outcome, fsyncing before it returns so a
 // crash immediately after cannot lose the record. It returns the total
 // number of records appended by this process — the crash point's clock.
-func (j *Journal) Append(rec TaskRecord) (int, error) {
-	line, err := frame("task", rec)
-	if err != nil {
-		return 0, fmt.Errorf("campaign: encoding task record %s: %w", rec.ID, err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return j.appended, fmt.Errorf("campaign: appending %s: %w", rec.ID, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return j.appended, fmt.Errorf("campaign: syncing journal: %w", err)
-	}
-	j.appended++
-	return j.appended, nil
-}
-
-// Sync flushes the journal file.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Sync()
-}
+func (j *Journal) Append(rec TaskRecord) (int, error) { return j.app.Append("task", rec) }
 
 // Close closes the journal file.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.app.Close()
 }
 
 // Path returns the journal's file path.

@@ -1,8 +1,11 @@
-// Package cliutil is the observability surface shared by the three
-// CLIs (branchscope, experiments, phtmap): one flag set with identical
-// names and usage wording, and a Session that owns every export sink —
-// metrics and trace files, the provenance ledger, the live obs server,
-// Go profiles — and flushes all of them in Close.
+// Package cliutil is the invocation pipeline shared by the three CLIs
+// (branchscope, experiments, phtmap) and the campaign job service: one
+// flag set with identical names and usage wording; a Session that owns
+// every export sink — metrics and trace files, the provenance ledger,
+// the live obs server, Go profiles — and flushes all of them in Close;
+// and a Plan that Session.Execute turns into a run identity, executes
+// locally, durably, across fabric workers or as a worker, and settles
+// into the run archive (see plan.go).
 //
 // Close is designed to run on *every* exit path via defer, including
 // a SIGINT/SIGTERM-canceled run: a run interrupted halfway still
@@ -30,6 +33,8 @@ import (
 	"branchscope/internal/chaos"
 	"branchscope/internal/core"
 	"branchscope/internal/engine"
+	"branchscope/internal/experiments"
+	"branchscope/internal/fabric"
 	"branchscope/internal/leakage"
 	"branchscope/internal/obs"
 	"branchscope/internal/runstore"
@@ -302,10 +307,21 @@ func (f Flags) Campaign(h campaign.Header) (*campaign.Campaign, error) {
 
 // RequireNoCampaign rejects the campaign flags for single-task
 // programs: with exactly one root task there is nothing to checkpoint
-// between — rerunning the program is the resume path.
+// between — rerunning the program is the resume path — and no
+// remaining task of a family a breaker could skip.
 func (f Flags) RequireNoCampaign(prog string) error {
-	if f.Checkpoint != "" || f.Resume {
-		return fmt.Errorf("%s runs a single root task; -checkpoint/-resume only apply to multi-task campaigns (use cmd/experiments)", prog)
+	if f.Checkpoint != "" || f.Resume || f.Breaker != 0 {
+		return fmt.Errorf("%s runs a single root task; -checkpoint/-resume/-breaker only apply to multi-task campaigns (use cmd/experiments)", prog)
+	}
+	return nil
+}
+
+// RequireNoRetry rejects -retry for programs without a resilient read
+// loop to switch on (phtmap's mapper probes in a flat loop), so the
+// flag can never mint a new run identity for identical output.
+func (f Flags) RequireNoRetry(prog string) error {
+	if f.Retry != 0 {
+		return fmt.Errorf("%s has no resilient read loop; -retry applies to covert-channel runs (use cmd/branchscope or cmd/experiments)", prog)
 	}
 	return nil
 }
@@ -321,6 +337,19 @@ func (f Flags) RetryConfig() *core.RetryConfig {
 		return nil
 	}
 	return &core.RetryConfig{MaxAttempts: f.Retry}
+}
+
+// Overrides resolves -retry, with the run's chaos plan (ChaosPlan) and
+// telemetry set, into the overrides every covert measurement of the run
+// reads from its task context (see experiments.WithOverrides). A
+// crash-only chaos plan installs no injector: a crash point decides
+// whether the process survives, never what a measurement contains.
+func (f Flags) Overrides(plan *chaos.Plan, tel *telemetry.Set) *experiments.Overrides {
+	ov := &experiments.Overrides{Telemetry: tel, Retry: f.RetryConfig()}
+	if plan != nil && plan.HasEpisodeFaults() {
+		ov.Chaos = plan
+	}
+	return ov
 }
 
 // RetryPolicy resolves -retry into the engine's task-level policy: the
@@ -340,21 +369,22 @@ type Options struct {
 	// -serve / -ledger-out asked for it (branchscope's -v table reads
 	// the registry unconditionally).
 	ForceMetrics bool
-	// Status and Ready feed /statusz and /readyz when -serve is set.
-	Status func() obs.Status
-	Ready  func() bool
 	// LogWriter overrides the log destination (default os.Stderr;
 	// tests pass a buffer). Stdout is never an option: it is reserved
 	// for the deterministic report.
 	LogWriter io.Writer
-	// Fabric, when non-nil, mounts the distributed-campaign worker
-	// endpoint under /fabric/ on the -serve server (typically a
-	// fabric.Worker handler; see internal/fabric).
-	Fabric http.Handler
-	// Jobs, when non-nil, mounts the campaign job service at /jobs on
-	// the -serve server (typically a svc.Service handler; see
-	// internal/svc).
-	Jobs http.Handler
+	// Jobs, when non-nil, is the campaign job service the session
+	// hosts instead of executing a plan (see internal/svc).
+	Jobs Jobs
+}
+
+// Jobs is the campaign job service a session can host: its handler is
+// mounted at /jobs on the -serve server, its occupancy fills the
+// /statusz service section, and its readiness answers /readyz.
+type Jobs interface {
+	Handler() http.Handler
+	Status() *obs.ServiceStatus
+	Ready() bool
 }
 
 // Session is one CLI run's observability state.
@@ -373,10 +403,17 @@ type Session struct {
 
 	prog       string
 	flags      Flags
+	jobs       Jobs
 	ledgerFile *os.File
 	cpuFile    *os.File
 	server     *obs.Handle
 	closed     bool
+
+	// run is the executing plan's progress, declared by Execute, and
+	// worker the fabric worker it serves under -worker; both are read
+	// by scrapes that may arrive before Execute installs them.
+	run    atomic.Pointer[runState]
+	worker atomic.Pointer[fabric.Worker]
 
 	// runID is set by SetRunID after the CLI derives its identity —
 	// potentially while the obs server is already serving scrapes, so
@@ -401,7 +438,7 @@ func NewSession(prog string, f Flags, o Options) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", prog, err)
 	}
-	s := &Session{Log: log, prog: prog, flags: f}
+	s := &Session{Log: log, prog: prog, flags: f, jobs: o.Jobs}
 
 	if o.ForceMetrics || f.MetricsOut != "" || f.Serve != "" || f.LedgerOut != "" {
 		s.Metrics = telemetry.NewRegistry()
@@ -445,12 +482,16 @@ func NewSession(prog string, f Flags, o Options) (*Session, error) {
 		srv := &obs.Server{
 			Program:    prog,
 			Metrics:    s.Metrics,
-			Status:     s.wrapStatus(o.Status),
-			Ready:      o.Ready,
+			Status:     s.status,
+			Ready:      s.ready,
 			Introspect: leakage.LatestIntrospection,
-			Fabric:     o.Fabric,
-			Jobs:       o.Jobs,
 			Log:        log,
+		}
+		if f.Worker {
+			srv.Fabric = http.HandlerFunc(s.serveFabric)
+		}
+		if o.Jobs != nil {
+			srv.Jobs = o.Jobs.Handler()
 		}
 		if f.Archive != "" {
 			dir := f.Archive
@@ -475,18 +516,58 @@ func NewSession(prog string, f Flags, o Options) (*Session, error) {
 	return s, nil
 }
 
-// wrapStatus stamps the session's run identity and ledger-tail health
-// into every /statusz document the CLI's status func renders.
-func (s *Session) wrapStatus(status func() obs.Status) func() obs.Status {
-	return func() obs.Status {
-		st := obs.Status{Schema: obs.StatusSchema, Program: s.prog}
-		if status != nil {
-			st = status()
+// runState is the progress /statusz and /readyz report once Execute
+// has declared the run's tasks.
+type runState struct {
+	tracker  *obs.Tracker
+	breakers *engine.BreakerSet
+}
+
+// status renders /statusz: the declared run's task progress and
+// breaker states, the hosted job service's occupancy, the run identity
+// and ledger-tail health.
+func (s *Session) status() obs.Status {
+	st := obs.Status{Schema: obs.StatusSchema, Program: s.prog}
+	if r := s.run.Load(); r != nil {
+		st = r.tracker.Status()
+		for _, b := range r.breakers.Status() {
+			st.Breakers = append(st.Breakers, obs.BreakerStatus{
+				Family: b.Family, State: b.State,
+				ConsecutiveFailures: b.ConsecutiveFailures, Skipped: b.Skipped,
+			})
 		}
-		st.RunID = s.RunID()
-		st.LedgerTorn = s.ledgerTorn
-		return st
 	}
+	if s.jobs != nil {
+		st.Service = s.jobs.Status()
+	}
+	st.RunID = s.RunID()
+	st.LedgerTorn = s.ledgerTorn
+	return st
+}
+
+// ready answers /readyz: a job host while its service admits jobs, a
+// fabric worker once it serves assignments, a run while no circuit
+// breaker is open.
+func (s *Session) ready() bool {
+	switch {
+	case s.jobs != nil:
+		return s.jobs.Ready()
+	case s.flags.Worker && s.worker.Load() == nil:
+		return false
+	}
+	r := s.run.Load()
+	return r == nil || !r.breakers.AnyOpen()
+}
+
+// serveFabric routes /fabric/ to the worker Execute serves, 503 until
+// it is configured.
+func (s *Session) serveFabric(w http.ResponseWriter, r *http.Request) {
+	wk := s.worker.Load()
+	if wk == nil {
+		http.Error(w, "fabric worker is starting", http.StatusServiceUnavailable)
+		return
+	}
+	wk.Handler().ServeHTTP(w, r)
 }
 
 // SetRunID installs the run's causal identity on every sink the
@@ -518,9 +599,10 @@ func (s *Session) RunID() string {
 func (s *Session) LedgerTorn() bool { return s != nil && s.ledgerTorn }
 
 // SetArchiver attaches the run archiver the session writes at Close,
-// and schedules every session-owned sink file for archiving. The CLI
-// remains responsible for recording task outcomes and the canonical
-// report/export blobs on the archiver. Nil-safe both ways.
+// and schedules every session-owned sink file — and the campaign
+// journal — for archiving. Execute settles task outcomes and the
+// canonical report/export blobs on it (Plan.Settle). Nil-safe both
+// ways.
 func (s *Session) SetArchiver(a *runstore.Archiver) {
 	if s == nil {
 		return
@@ -531,6 +613,7 @@ func (s *Session) SetArchiver(a *runstore.Archiver) {
 	a.AddFile("trace", s.flags.TraceOut)
 	a.AddFile("leakage", s.flags.LeakageOut)
 	a.AddFile("introspect", s.flags.IntrospectOut)
+	a.AddFile("journal", s.flags.Checkpoint)
 }
 
 func (s *Session) stopProfile() {

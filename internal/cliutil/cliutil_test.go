@@ -272,7 +272,9 @@ func TestSessionServeLifecycle(t *testing.T) {
 
 // TestCampaignFlagValidation pins the durability flag surface shared
 // by the CLIs: -resume requires -checkpoint, no flags means no
-// campaign, and single-task programs reject both.
+// campaign, and single-task programs reject both, plus the knobs they
+// never apply (-breaker; -retry where no read loop takes it), which
+// would otherwise mint a new run ID for identical output.
 func TestCampaignFlagValidation(t *testing.T) {
 	if c, err := (Flags{}).Campaign(campaign.Header{}); err != nil || c != nil {
 		t.Errorf("no flags: campaign=%v err=%v, want nil/nil", c, err)
@@ -288,6 +290,17 @@ func TestCampaignFlagValidation(t *testing.T) {
 	}
 	if err := (Flags{Resume: true}).RequireNoCampaign("prog"); err == nil {
 		t.Error("single-task program accepted -resume")
+	}
+	// A breaker only skips a family's remaining tasks; with one root
+	// task it would change nothing but the run ID.
+	if err := (Flags{Breaker: 2}).RequireNoCampaign("prog"); err == nil {
+		t.Error("single-task program accepted -breaker")
+	}
+	if err := (Flags{Retry: 3}).RequireNoRetry("prog"); err == nil {
+		t.Error("program without a resilient read loop accepted -retry")
+	}
+	if err := (Flags{}).RequireNoRetry("prog"); err != nil {
+		t.Errorf("RequireNoRetry without flags: %v", err)
 	}
 
 	// A fresh -checkpoint campaign opens a journal ready for appends.

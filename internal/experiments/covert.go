@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"branchscope/internal/chaos"
 	"branchscope/internal/core"
@@ -19,47 +18,6 @@ import (
 	"branchscope/internal/uarch"
 	"branchscope/internal/victims"
 )
-
-// defaultTelemetry is the process-wide telemetry set picked up by
-// experiment runs whose config carries none. cmd/experiments installs
-// one at startup so every covert-channel cell it regenerates reports
-// through a single registry.
-var defaultTelemetry atomic.Pointer[telemetry.Set]
-
-// SetDefaultTelemetry installs (or, with nil, removes) the process-wide
-// telemetry set used when a config's Telemetry field is nil.
-func SetDefaultTelemetry(t *telemetry.Set) {
-	defaultTelemetry.Store(t)
-}
-
-// DefaultTelemetry returns the process-wide telemetry set (nil when
-// none is installed).
-func DefaultTelemetry() *telemetry.Set {
-	return defaultTelemetry.Load()
-}
-
-// defaultChaos / defaultRetry are the process-wide fault plan and
-// resilient-read policy picked up by covert measurements whose config
-// carries none — how the CLIs' -chaos/-chaos-seed/-retry flags reach
-// every cell a suite run regenerates. Same idiom as defaultTelemetry.
-var (
-	defaultChaos atomic.Pointer[chaos.Plan]
-	defaultRetry atomic.Pointer[core.RetryConfig]
-)
-
-// SetDefaultChaos installs (or, with nil, removes) the process-wide
-// chaos plan applied when a config's Chaos field is nil.
-func SetDefaultChaos(p *chaos.Plan) { defaultChaos.Store(p) }
-
-// DefaultChaos returns the process-wide chaos plan (nil when none).
-func DefaultChaos() *chaos.Plan { return defaultChaos.Load() }
-
-// SetDefaultRetry installs (or, with nil, removes) the process-wide
-// resilient-read policy applied when a config's Retry is zero.
-func SetDefaultRetry(rc *core.RetryConfig) { defaultRetry.Store(rc) }
-
-// DefaultRetry returns the process-wide retry policy (nil when none).
-func DefaultRetry() *core.RetryConfig { return defaultRetry.Load() }
 
 // Setting is the paper's system-noise configuration (§7).
 type Setting int
@@ -146,17 +104,17 @@ type CovertConfig struct {
 	// after creation (tracing and detection harnesses attach here).
 	SpyHook func(*cpu.Context)
 	// Telemetry, when non-nil, instruments every simulated machine the
-	// measurement boots (falling back to the process-wide default set;
-	// see SetDefaultTelemetry). Metrics and traces record simulated
+	// measurement boots (falling back to the run's Overrides; see
+	// WithOverrides). Metrics and traces record simulated
 	// cycles only, so exports are deterministic per seed.
 	Telemetry *telemetry.Set
 	// Chaos, when non-nil and enabled, attaches a fault injector
 	// realizing the plan to every system the measurement boots
-	// (falling back to the process-wide default; see SetDefaultChaos).
+	// (falling back to the run's Overrides; see WithOverrides).
 	// Faults start after session setup: the pre-attack search and
 	// calibration model the quiet moment a real attacker waits for.
 	Chaos *chaos.Plan
-	// Retry, when nonzero (falling back to the process-wide default),
+	// Retry, when nonzero (falling back to the run's Overrides),
 	// switches the spy to the resilient read path: per-bit majority
 	// voting under Retry.MaxAttempts with outlier rejection, Unknown
 	// reporting (counted as a coin flip, like a failed setup), and —
@@ -261,10 +219,8 @@ func RunCovert(ctx context.Context, cfg CovertConfig) (CovertResult, error) {
 		cfg.Runs = 3
 	}
 	if ov := OverridesFrom(ctx); ov != nil {
-		// Context overrides replace the process-wide defaults entirely:
-		// a service job must run under exactly its own spec's chaos and
-		// retry knobs, never inherit another tenant's (or the host
-		// CLI's). Nil override fields mean "none", not "fall back".
+		// The run's overrides fill only what the cell's own config leaves
+		// unset: the robustness sweep pins its plan and budget per cell.
 		if cfg.Telemetry == nil {
 			cfg.Telemetry = ov.Telemetry
 		}
@@ -273,18 +229,6 @@ func RunCovert(ctx context.Context, cfg CovertConfig) (CovertResult, error) {
 		}
 		if cfg.Retry == (core.RetryConfig{}) && ov.Retry != nil {
 			cfg.Retry = *ov.Retry
-		}
-	} else {
-		if cfg.Telemetry == nil {
-			cfg.Telemetry = DefaultTelemetry()
-		}
-		if cfg.Chaos == nil {
-			cfg.Chaos = DefaultChaos()
-		}
-		if cfg.Retry == (core.RetryConfig{}) {
-			if rc := DefaultRetry(); rc != nil {
-				cfg.Retry = *rc
-			}
 		}
 	}
 	root := rng.New(cfg.Seed ^ 0xc0de)

@@ -153,23 +153,26 @@ func TestCovertSGXTelemetry(t *testing.T) {
 	}
 }
 
-// TestDefaultTelemetryFallback checks the process-wide set is used when
-// a config carries none, and that removal restores the disabled path.
-func TestDefaultTelemetryFallback(t *testing.T) {
+// TestOverridesTelemetry checks the run's context overrides supply the
+// telemetry set when a config carries none, and that a context without
+// overrides records nothing.
+func TestOverridesTelemetry(t *testing.T) {
 	set := telemetry.New(telemetry.NewRegistry(), nil)
-	SetDefaultTelemetry(set)
-	defer SetDefaultTelemetry(nil)
-	if _, err := RunCovert(context.Background(), CovertConfig{
+	cfg := CovertConfig{
 		Model: uarch.Skylake(), Setting: Isolated, Pattern: AllZeros,
 		Bits: 10, Runs: 1, Seed: 2,
-	}); err != nil {
+	}
+	ctx := WithOverrides(context.Background(), &Overrides{Telemetry: set})
+	if _, err := RunCovert(ctx, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if set.Metrics.Counter("core.episodes").Value() != 10 {
-		t.Error("default telemetry set not picked up")
+		t.Error("override telemetry set not picked up")
 	}
-	SetDefaultTelemetry(nil)
-	if DefaultTelemetry() != nil {
-		t.Error("default telemetry not removed")
+	if _, err := RunCovert(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if set.Metrics.Counter("core.episodes").Value() != 10 {
+		t.Error("a run without overrides recorded into another run's set")
 	}
 }

@@ -8,14 +8,13 @@ import (
 	"branchscope/internal/telemetry"
 )
 
-// Overrides is a per-run replacement for the process-wide defaults
-// (SetDefaultChaos/SetDefaultRetry/SetDefaultTelemetry). The campaign
-// service installs one on each job's context so a job runs under
-// exactly its own spec's chaos plan and retry policy — never under
-// another tenant's, and never under the host CLI's flags. A nil field
-// means "none", not "fall back to the default": presence of the
-// struct replaces the defaults entirely, which is what makes the
-// isolation hard.
+// Overrides carries one run's chaos plan, resilient-read policy and
+// telemetry set to every covert measurement the run makes, through
+// the task context rather than process state. CLI runs, fabric
+// workers and campaign service jobs all install them this way (see
+// cliutil.Flags.Overrides), so a job runs under exactly its own spec's
+// knobs — never another tenant's, never the host CLI's. A nil field
+// means "none"; a config field a cell sets itself takes precedence.
 type Overrides struct {
 	Telemetry *telemetry.Set
 	Chaos     *chaos.Plan
@@ -35,7 +34,7 @@ func WithOverrides(ctx context.Context, ov *Overrides) context.Context {
 }
 
 // OverridesFrom extracts the overrides installed by WithOverrides, nil
-// when the context carries none (the process-wide defaults apply).
+// when the context carries none.
 func OverridesFrom(ctx context.Context) *Overrides {
 	ov, _ := ctx.Value(overridesKey{}).(*Overrides)
 	return ov

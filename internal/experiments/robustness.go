@@ -292,7 +292,7 @@ func runRobustnessCell(ctx context.Context, cfg RobustnessConfig, sp robustnessS
 		Seed:      seed,
 	}
 	// Every cell pins Chaos and Retry explicitly: the sweep must not
-	// inherit the process-wide defaults a -chaos/-retry flag installs,
+	// inherit the run's Overrides a -chaos/-retry flag installs,
 	// or its axes would be silently distorted.
 	plan := chaos.AtIntensity(engine.DeriveSeed(seed, "chaos"), sp.intensity)
 	if sp.scenario != "" {
@@ -312,7 +312,8 @@ func runRobustnessCell(ctx context.Context, cfg RobustnessConfig, sp robustnessS
 		ccfg.Retry = core.RetryConfig{MaxAttempts: sp.budget}
 	} else {
 		// A negative budget reads as "naive" everywhere while keeping
-		// the config nonzero, which is what opts out of DefaultRetry.
+		// the config nonzero, which is what opts out of the run's retry
+		// override.
 		ccfg.Retry = core.RetryConfig{MaxAttempts: -1}
 	}
 	res, err := RunCovert(ctx, ccfg)

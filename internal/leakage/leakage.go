@@ -26,10 +26,9 @@
 // The package also owns two process-wide "live" slots — the latest
 // leakage Report and the latest predictor introspection snapshot —
 // published by experiment harnesses and read by the obs endpoints and
-// the -leakage-out/-introspect-out exports (same atomic-pointer idiom
-// as experiments.SetDefaultTelemetry). Under a parallel suite the
-// slots are last-writer-wins: they are live diagnostics, not part of
-// the deterministic report surface.
+// the -leakage-out/-introspect-out exports (atomic pointers). Under a
+// parallel suite the slots are last-writer-wins: they are live
+// diagnostics, not part of the deterministic report surface.
 package leakage
 
 import (
@@ -128,7 +127,7 @@ type Report struct {
 	// Unknown counts bits the read path gave up on.
 	Unknown uint64 `json:"unknown"`
 	// WrongKnown counts bits decoded confidently and wrongly.
-	WrongKnown uint64 `json:"wrong_known"`
+	WrongKnown uint64    `json:"wrong_known"`
 	Confusion  Confusion `json:"confusion"`
 	// BitErrorRate is (wrong-known + unknown/2) / bits — the covert
 	// harness's scoring, with an Unknown an admitted coin flip.

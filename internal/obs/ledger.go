@@ -3,11 +3,9 @@ package obs
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -262,20 +260,4 @@ func RepairLedgerTail(path string) (torn bool, err error) {
 		return false, fmt.Errorf("obs: repairing ledger: %w", err)
 	}
 	return true, nil
-}
-
-// OutcomeOf classifies a single-run error the way engine.Report.Outcome
-// classifies suite tasks, for programs (branchscope, phtmap) that run
-// one root task without the engine runner.
-func OutcomeOf(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	default:
-		return "error"
-	}
 }

@@ -119,6 +119,11 @@ func (s *Server) Handler() http.Handler {
 		st.GoVersion = runtime.Version()
 		snap := s.Metrics.Snapshot()
 		st.Leakage = leakageStatus(snap)
+		for _, c := range snap.Counters {
+			if c.Name == "core.probe.degradations" {
+				st.DegradedProbes = c.Value
+			}
+		}
 		for _, h := range snap.Histograms {
 			st.Histograms = append(st.Histograms, HistogramStatus{
 				Name:  h.Name,

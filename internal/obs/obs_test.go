@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,7 +36,7 @@ func TestEndpoints(t *testing.T) {
 	reg.Histogram("probe.cycles", []uint64{10, 100}).Observe(42)
 	tracker := NewTracker("test", 1, true, []string{"fig2", "table1"})
 	tracker.Begin("fig2", 99)
-	tracker.End("fig2", 80*time.Millisecond, "", nil)
+	tracker.End("fig2", 80*time.Millisecond, "ok", nil)
 	tracker.Begin("table1", 42)
 
 	s := &Server{Program: "test", Metrics: reg, Status: tracker.Status, Ready: tracker.Ready}
@@ -146,7 +145,7 @@ func TestConcurrentScrape(t *testing.T) {
 				h.Observe(i % 500)
 				id := string(rune('a' + i%3))
 				tracker.Begin(id, i)
-				tracker.End(id, time.Duration(i), "", nil)
+				tracker.End(id, time.Duration(i), "ok", nil)
 			}
 		}
 	}()
@@ -185,23 +184,6 @@ func TestStartShutdown(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + h.Addr() + "/healthz"); err == nil {
 		t.Error("server still reachable after shutdown")
-	}
-}
-
-func TestOutcomeOf(t *testing.T) {
-	cases := []struct {
-		err  error
-		want string
-	}{
-		{nil, "ok"},
-		{context.Canceled, "canceled"},
-		{fmt.Errorf("wrap: %w", context.DeadlineExceeded), "timeout"},
-		{errors.New("boom"), "error"},
-	}
-	for _, c := range cases {
-		if got := OutcomeOf(c.err); got != c.want {
-			t.Errorf("OutcomeOf(%v) = %q, want %q", c.err, got, c.want)
-		}
 	}
 }
 

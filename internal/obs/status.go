@@ -113,8 +113,8 @@ type Status struct {
 	// breakers; filled by the serving program, not the tracker.
 	Breakers []BreakerStatus `json:"breakers,omitempty"`
 	// DegradedProbes counts attack sessions whose health gate fell back
-	// from PMC to timing probing; filled by the serving program from
-	// the core.probe.degradations counter.
+	// from PMC to timing probing; filled by the obs server from the
+	// core.probe.degradations counter, not the tracker.
 	DegradedProbes uint64 `json:"degraded_probes,omitempty"`
 	// Leakage carries the live channel-quality numbers once at least
 	// one attack window has completed; filled by the obs server from
@@ -207,16 +207,12 @@ func (t *Tracker) MarkStuck(id string) {
 }
 
 // End marks a task done or failed. outcome is the engine's fine-grained
-// classification (Report.Outcome or OutcomeOf); empty derives it from
-// err, so callers without an engine report can pass "". A task whose
-// outcome is a success class ("ok", "retried-ok") ends done even
-// with retries behind it; everything else with a non-nil err is failed.
+// classification (Report.Outcome). A task whose outcome is a success
+// class ("ok", "retried-ok") ends done even with retries behind it;
+// everything else with a non-nil err is failed.
 func (t *Tracker) End(id string, wall time.Duration, outcome string, err error) {
 	if t == nil {
 		return
-	}
-	if outcome == "" {
-		outcome = OutcomeOf(err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

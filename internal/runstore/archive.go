@@ -1,12 +1,15 @@
 package runstore
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"branchscope/internal/campaign"
 )
 
 // kindPolicy fixes each artifact kind's archived name, whether its
@@ -47,7 +50,6 @@ type Archiver struct {
 	mu       sync.Mutex
 	outcomes []TaskOutcome
 	breakers []BreakerSummary
-	degraded uint64
 	files    []pendingFile
 	blobs    []pendingBlob
 }
@@ -96,16 +98,6 @@ func (a *Archiver) SetBreakers(bs []BreakerSummary) {
 	a.mu.Unlock()
 }
 
-// SetDegradedProbes records the health-gate degradation count.
-func (a *Archiver) SetDegradedProbes(n uint64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.degraded = n
-	a.mu.Unlock()
-}
-
 // AddFile schedules a sink file for archiving under kind's policy. An
 // empty path is ignored, so callers can pass flag values unguarded; an
 // unknown kind is a programming error surfaced at Write.
@@ -142,7 +134,6 @@ func (a *Archiver) Write() (string, error) {
 
 	m := NewManifest(a.id, a.outcomes)
 	m.Breakers = a.breakers
-	m.DegradedProbes = a.degraded
 
 	runDir := filepath.Join(a.dir, m.RunID)
 	if err := os.MkdirAll(runDir, 0o755); err != nil {
@@ -196,27 +187,15 @@ func (a *Archiver) Write() (string, error) {
 	return runDir, nil
 }
 
-// writeManifestAtomic writes the manifest via a sibling temp file,
-// fsync and rename, mirroring the campaign journal's creation path.
+// writeManifestAtomic publishes the manifest via temp-file+rename
+// (campaign.WriteAtomic), so a run directory either has a complete
+// manifest or none.
 func writeManifestAtomic(path string, m Manifest) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ManifestName+".tmp*")
-	if err != nil {
-		return fmt.Errorf("runstore: writing manifest: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := WriteManifest(tmp, m); err != nil {
-		tmp.Close()
+	var buf bytes.Buffer
+	if err := WriteManifest(&buf, m); err != nil {
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runstore: syncing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runstore: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := campaign.WriteAtomic(path, buf.Bytes()); err != nil {
 		return fmt.Errorf("runstore: publishing manifest: %w", err)
 	}
 	return nil

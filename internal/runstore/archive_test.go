@@ -168,7 +168,6 @@ func TestArchiverNilSafe(t *testing.T) {
 	arc.AddFile("ledger", "/nonexistent")
 	arc.AddBlob("report", []byte("x"))
 	arc.SetBreakers(nil)
-	arc.SetDegradedProbes(3)
 	if got := arc.RunID(); got != "" {
 		t.Fatalf("nil archiver RunID = %q, want empty", got)
 	}

@@ -56,9 +56,9 @@ const ManifestName = "manifest.json"
 // Config values must be plain JSON types (strings, bools, numbers) so
 // the identity survives a marshal round trip unchanged.
 type Identity struct {
-	Program  string   `json:"program"`
-	BaseSeed uint64   `json:"base_seed"`
-	Quick    bool     `json:"quick"`
+	Program  string `json:"program"`
+	BaseSeed uint64 `json:"base_seed"`
+	Quick    bool   `json:"quick"`
 	// Tasks is the ordered task-ID list — the invocation family. A
 	// different selection or order is a different run.
 	Tasks []string `json:"tasks"`
@@ -172,10 +172,6 @@ type Manifest struct {
 	// empty; a tripping breaker is itself a deterministic result of
 	// the identity at -parallel 1, and a finding worth diffing at all).
 	Breakers []BreakerSummary `json:"breakers,omitempty"`
-	// DegradedProbes counts attack sessions that fell back from PMC to
-	// timing probing — deterministic per identity for complete runs
-	// (the health gate consumes seeded faults, not wall time).
-	DegradedProbes uint64 `json:"degraded_probes,omitempty"`
 	// Artifacts lists the archived files, sorted by name.
 	Artifacts []Artifact `json:"artifacts"`
 }

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sync"
 
 	"branchscope/internal/campaign"
 )
@@ -24,11 +22,11 @@ const JournalSchema = "branchscope.svc/v1"
 //	{"sum":"crc32:...","start":{"id":"job-000001"}}            (begin)
 //	{"sum":"crc32:...","done":{"id":...,"state":...,"reason":...}}
 //
-// Like the campaign journal it is fsynced per append, torn-tail
-// tolerant, and created atomically — the restart-recovery contract
-// (queued jobs resume, running jobs settle failed with a reason)
-// depends on the submit record being durable before the client sees
-// its 201.
+// Like the campaign journal it is fsynced per append
+// (campaign.Appender), torn-tail tolerant, and created atomically
+// (campaign.WriteAtomic) — the restart-recovery contract (queued jobs
+// resume, running jobs settle failed with a reason) depends on the
+// submit record being durable before the client sees its 201.
 const (
 	kindHeader = "svc"
 	kindJob    = "job"
@@ -55,13 +53,6 @@ type svcHeader struct {
 	Schema string `json:"schema"`
 }
 
-// journal is the open service journal; appends are mutex-serialized
-// and fsynced, mirroring campaign.Journal.
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
 // recoveredJob is one job reconstructed from the journal.
 type recoveredJob struct {
 	rec     jobRecord
@@ -73,18 +64,19 @@ type recoveredJob struct {
 // openJournal opens (creating if absent) the service journal and
 // replays it: every intact record is returned in submit order, a torn
 // final line is dropped, and the surviving content is compacted back
-// to disk so the reopened file is clean before new appends land.
-func openJournal(path string) (*journal, []recoveredJob, error) {
+// to disk so the reopened file is clean before new appends land. The
+// returned appender frames and fsyncs each later record.
+func openJournal(path string) (*campaign.Appender, []recoveredJob, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		line, ferr := campaign.Frame(kindHeader, svcHeader{Schema: JournalSchema})
 		if ferr != nil {
 			return nil, nil, fmt.Errorf("svc: encoding journal header: %w", ferr)
 		}
-		if werr := writeAtomic(path, line); werr != nil {
+		if werr := campaign.WriteAtomic(path, line); werr != nil {
 			return nil, nil, fmt.Errorf("svc: creating journal: %w", werr)
 		}
-		j, oerr := openAppend(path)
+		j, oerr := campaign.OpenAppender(path)
 		return j, nil, oerr
 	}
 	if err != nil {
@@ -108,10 +100,10 @@ func openJournal(path string) (*journal, []recoveredJob, error) {
 			return nil, nil, err
 		}
 	}
-	if err := writeAtomic(path, buf.Bytes()); err != nil {
+	if err := campaign.WriteAtomic(path, buf.Bytes()); err != nil {
 		return nil, nil, fmt.Errorf("svc: compacting journal: %w", err)
 	}
-	j, err := openAppend(path)
+	j, err := campaign.OpenAppender(path)
 	return j, jobs, err
 }
 
@@ -144,7 +136,9 @@ func appendFrames(buf *bytes.Buffer, rj recoveredJob) error {
 // real damage and fails the load, matching campaign.Load.
 func replayJournal(data []byte) ([]recoveredJob, error) {
 	var jobs []recoveredJob
-	byID := map[string]*recoveredJob{}
+	// Index by position: jobs keeps growing, so a pointer into it would
+	// go stale when a later submit reallocates the slice.
+	byID := map[string]int{}
 	var pending error
 	sawHeader := false
 	for i, raw := range bytes.Split(data, []byte("\n")) {
@@ -175,23 +169,23 @@ func replayJournal(data []byte) ([]recoveredJob, error) {
 			if err := json.Unmarshal(payload, &rec); err != nil {
 				return nil, fmt.Errorf("svc: journal line %d: bad job record: %w", i+1, err)
 			}
+			byID[rec.ID] = len(jobs)
 			jobs = append(jobs, recoveredJob{rec: rec})
-			byID[rec.ID] = &jobs[len(jobs)-1]
 		case kindStart:
 			var m markRecord
 			if err := json.Unmarshal(payload, &m); err != nil {
 				return nil, fmt.Errorf("svc: journal line %d: bad start record: %w", i+1, err)
 			}
-			if rj := byID[m.ID]; rj != nil {
-				rj.started = true
+			if i, ok := byID[m.ID]; ok {
+				jobs[i].started = true
 			}
 		case kindDone:
 			var m markRecord
 			if err := json.Unmarshal(payload, &m); err != nil {
 				return nil, fmt.Errorf("svc: journal line %d: bad done record: %w", i+1, err)
 			}
-			if rj := byID[m.ID]; rj != nil {
-				rj.state, rj.reason = m.State, m.Reason
+			if i, ok := byID[m.ID]; ok {
+				jobs[i].state, jobs[i].reason = m.State, m.Reason
 			}
 		default:
 			return nil, fmt.Errorf("svc: journal line %d: unknown kind %q", i+1, kind)
@@ -201,66 +195,4 @@ func replayJournal(data []byte) ([]recoveredJob, error) {
 		return nil, errors.New("svc: journal has no header")
 	}
 	return jobs, nil
-}
-
-// openAppend opens the journal file for appending.
-func openAppend(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("svc: opening journal: %w", err)
-	}
-	return &journal{f: f}, nil
-}
-
-// append frames and fsyncs one record. Nil-safe: a service without a
-// journal path runs in-memory only.
-func (j *journal) append(kind string, payload any) error {
-	if j == nil {
-		return nil
-	}
-	line, err := campaign.Frame(kind, payload)
-	if err != nil {
-		return fmt.Errorf("svc: encoding %s record: %w", kind, err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("svc: appending %s record: %w", kind, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("svc: syncing journal: %w", err)
-	}
-	return nil
-}
-
-// close closes the journal file. Nil-safe.
-func (j *journal) close() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
-
-// writeAtomic writes data via sibling temp file + fsync + rename,
-// mirroring the campaign journal's creation path.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "svc-journal.tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -1,7 +1,6 @@
 package svc
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,7 +12,9 @@ import (
 	"sync/atomic"
 
 	"branchscope/internal/campaign"
+	"branchscope/internal/cliutil"
 	"branchscope/internal/engine"
+	"branchscope/internal/experiments"
 	"branchscope/internal/obs"
 	"branchscope/internal/runstore"
 )
@@ -72,11 +73,6 @@ type Config struct {
 	// settle failed with an explicit reason. Empty runs in-memory only.
 	JournalPath string
 	Limits      Limits
-	// Isolate, when non-nil, prepares a job's context before execution —
-	// the host injects per-job chaos/retry overrides here (see
-	// experiments.WithOverrides) so a job can never inherit another
-	// tenant's (or the host CLI's) process-wide defaults.
-	Isolate func(ctx context.Context, sp Spec) context.Context
 	// Log receives progress events; nil discards them.
 	Log *slog.Logger
 }
@@ -188,7 +184,6 @@ type job struct {
 	spec   Spec
 	runID  string
 	tasks  []engine.Task
-	ids    []string
 
 	state    string
 	reason   string
@@ -213,18 +208,17 @@ type Service struct {
 	regOrder   []string
 	pool       *engine.Pool
 	archiveDir string
-	isolate    func(context.Context, Spec) context.Context
 	limits     Limits
 	log        *slog.Logger
-	jnl        *journal
+	jnl        *campaign.Appender
 
-	mu         sync.Mutex
-	jobs       map[string]*job
-	order      []*job            // submission order, for listings
-	queues     map[string][]*job // per-tenant FIFO of queued jobs
-	tenantSeen []string          // tenant first-seen order, for round-robin
-	lastServed string            // tenant that last received a slot
-	running    map[string]int    // per-tenant running counts
+	mu           sync.Mutex
+	jobs         map[string]*job
+	order        []*job            // submission order, for listings
+	queues       map[string][]*job // per-tenant FIFO of queued jobs
+	tenantSeen   []string          // tenant first-seen order, for round-robin
+	lastServed   string            // tenant that last received a slot
+	running      map[string]int    // per-tenant running counts
 	totalRunning int
 	totalQueued  int
 	seq          int
@@ -251,7 +245,6 @@ func (s *Service) Start(cfg Config) error {
 	s.program = cfg.Program
 	s.pool = cfg.Pool
 	s.archiveDir = cfg.ArchiveDir
-	s.isolate = cfg.Isolate
 	s.limits = cfg.Limits.withDefaults()
 	s.log = cfg.Log
 	if s.log == nil {
@@ -286,7 +279,7 @@ func (s *Service) Start(cfg Config) error {
 }
 
 // Close releases the journal. Call after Drain.
-func (s *Service) Close() error { return s.jnl.close() }
+func (s *Service) Close() error { return s.jnl.Close() }
 
 // recoverLocked reconstructs one journaled job at startup.
 func (s *Service) recoverLocked(rj recoveredJob) {
@@ -320,7 +313,7 @@ func (s *Service) recoverLocked(rj recoveredJob) {
 		s.journalDone(j)
 		s.log.Warn("recovered job settled failed", "job", j.id, "tenant", j.tenant, "reason", j.reason)
 	default:
-		tasks, ids, err := s.resolve(j.spec.Tasks)
+		tasks, err := s.resolve(j.spec.Tasks)
 		if err != nil {
 			j.state, j.reason = StateFailed, err.Error()
 			s.countSettledLocked(StateFailed)
@@ -328,7 +321,7 @@ func (s *Service) recoverLocked(rj recoveredJob) {
 			s.journalDone(j)
 			return
 		}
-		j.tasks, j.ids = tasks, ids
+		j.tasks = tasks
 		j.state = StateQueued
 		s.enqueueLocked(j)
 		s.log.Info("recovered queued job", "job", j.id, "tenant", j.tenant, "run_id", j.runID)
@@ -346,22 +339,19 @@ func jobSeq(id string) int {
 
 // resolve maps a spec's task selection onto the registry: empty means
 // the full registry in order, exactly like a bare CLI invocation.
-func (s *Service) resolve(sel []string) ([]engine.Task, []string, error) {
-	ids := sel
-	if len(ids) == 0 {
-		ids = s.regOrder
+func (s *Service) resolve(sel []string) ([]engine.Task, error) {
+	if len(sel) == 0 {
+		sel = s.regOrder
 	}
-	tasks := make([]engine.Task, 0, len(ids))
-	out := make([]string, 0, len(ids))
-	for _, id := range ids {
+	tasks := make([]engine.Task, 0, len(sel))
+	for _, id := range sel {
 		t, ok := s.registry[id]
 		if !ok {
-			return nil, nil, fmt.Errorf("svc: unknown experiment %q", id)
+			return nil, fmt.Errorf("svc: unknown experiment %q", id)
 		}
 		tasks = append(tasks, t)
-		out = append(out, id)
 	}
-	return tasks, out, nil
+	return tasks, nil
 }
 
 // Submit validates and admits one job. On success the job is durably
@@ -378,11 +368,11 @@ func (s *Service) Submit(sp Spec) (JobStatus, error) {
 	if err := sp.Validate(s.program); err != nil {
 		return JobStatus{}, &SubmitError{Code: 400, Err: err}
 	}
-	tasks, ids, err := s.resolve(sp.Tasks)
+	tasks, err := s.resolve(sp.Tasks)
 	if err != nil {
 		return JobStatus{}, &SubmitError{Code: 400, Err: err}
 	}
-	identity, err := sp.Identity(ids)
+	identity, err := sp.Plan(tasks).Identity(sp.Flags())
 	if err != nil {
 		return JobStatus{}, &SubmitError{Code: 400, Err: err}
 	}
@@ -416,20 +406,19 @@ func (s *Service) Submit(sp Spec) (JobStatus, error) {
 		spec:   sp,
 		runID:  runID,
 		tasks:  tasks,
-		ids:    ids,
 		state:  StateQueued,
 		stream: newStream(),
 	}
 	// The submit record must be durable before the client sees 201:
 	// a 201'd job survives a restart, full stop.
-	if err := s.jnl.append(kindJob, jobRecord{ID: j.id, RunID: runID, Spec: sp}); err != nil {
+	if _, err := s.jnl.Append(kindJob, jobRecord{ID: j.id, RunID: runID, Spec: sp}); err != nil {
 		return JobStatus{}, &SubmitError{Code: 500, Err: err}
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	s.seeTenantLocked(sp.Tenant)
 	s.enqueueLocked(j)
-	s.log.Info("job submitted", "job", j.id, "tenant", j.tenant, "run_id", runID, "tasks", len(ids))
+	s.log.Info("job submitted", "job", j.id, "tenant", j.tenant, "run_id", runID, "tasks", len(tasks))
 	s.scheduleLocked()
 	return j.statusLocked(), nil
 }
@@ -502,7 +491,7 @@ func (s *Service) startLocked(j *job) {
 	j.state = StateRunning
 	s.running[j.tenant]++
 	s.totalRunning++
-	if err := s.jnl.append(kindStart, markRecord{ID: j.id}); err != nil {
+	if _, err := s.jnl.Append(kindStart, markRecord{ID: j.id}); err != nil {
 		s.log.Error("journaling job start", "job", j.id, "err", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -513,8 +502,11 @@ func (s *Service) startLocked(j *job) {
 }
 
 // run executes one job in its own isolated simulator instance: its own
-// runner, breaker set, retry policy, deadline context and panic
-// recovery, sharing only the caller-runs pool with other jobs.
+// runner, breaker set, retry policy, chaos overrides, deadline context
+// and panic recovery, sharing only the caller-runs pool with other
+// jobs. The job's plan is the one a direct CLI run of its spec
+// executes, so its stream records and archive come out of the same
+// Record and Settle.
 func (s *Service) run(j *job, ctx context.Context, cancel context.CancelFunc) {
 	defer s.wg.Done()
 	defer cancel()
@@ -531,22 +523,25 @@ func (s *Service) run(j *job, ctx context.Context, cancel context.CancelFunc) {
 		ctx, dcancel = context.WithTimeout(ctx, d)
 		defer dcancel()
 	}
-	if s.isolate != nil {
-		ctx = s.isolate(ctx, sp)
+	// The spec's chaos plan and retry budget ride the job's context
+	// only, never process state: no job inherits another tenant's
+	// knobs or the host CLI's.
+	chaosPlan, err := sp.Flags().ChaosPlan(sp.Seed())
+	if err != nil {
+		s.settle(j, StateFailed, err.Error())
+		return
 	}
+	ctx = experiments.WithOverrides(ctx, sp.Flags().Overrides(chaosPlan, nil))
 
-	ledgerCfg := map[string]any{"quick": sp.Quick, "tenant": sp.Tenant, "job": j.id}
-	runner := &engine.Runner{
-		Pool:     s.pool,
-		Timeout:  sp.Timeout(),
-		Retry:    sp.Flags().RetryPolicy(),
-		Breakers: engine.NewBreakerSet(sp.Breaker),
-		RunID:    j.runID,
-		OnStart: func(t engine.Task, seed uint64) {
-			s.log.Info("job task start", "job", j.id, "tenant", j.tenant, "id", t.ID, "seed", seed)
-		},
-		OnDone: func(rep engine.Report) { s.streamReport(j, ledgerCfg, rep) },
+	plan := sp.Plan(j.tasks)
+	plan.Pool = s.pool
+	plan.LedgerConfig = map[string]any{"quick": sp.Quick, "tenant": sp.Tenant, "job": j.id}
+	runner := plan.Runner(sp.Flags())
+	runner.RunID = j.runID
+	runner.OnStart = func(t engine.Task, seed uint64) {
+		s.log.Info("job task start", "job", j.id, "tenant", j.tenant, "id", t.ID, "seed", seed)
 	}
+	runner.OnDone = func(rep engine.Report) { s.streamReport(j, plan, rep) }
 	reports := runner.RunSuite(ctx, j.tasks, engine.Config{Quick: sp.Quick, Seed: sp.Seed()})
 
 	s.mu.Lock()
@@ -562,7 +557,7 @@ func (s *Service) run(j *job, ctx context.Context, cancel context.CancelFunc) {
 		}
 		s.settle(j, StateFailed, reason)
 	default:
-		if err := s.archive(j, runner, reports); err != nil {
+		if err := s.archive(j, plan, runner, reports); err != nil {
 			s.settle(j, StateFailed, fmt.Sprintf("archiving results: %v", err))
 			return
 		}
@@ -575,27 +570,12 @@ func (s *Service) run(j *job, ctx context.Context, cancel context.CancelFunc) {
 }
 
 // streamReport publishes one finished task as a branchscope.ledger/v1
-// line on the job's stream — the same wire shape file ledgers use,
-// plus the result rows so stream clients get data, not just digests.
-func (s *Service) streamReport(j *job, ledgerCfg map[string]any, rep engine.Report) {
-	rec := obs.LedgerRecord{
-		Schema:   obs.LedgerSchema,
-		RunID:    j.runID,
-		Program:  s.program,
-		ID:       rep.Task.ID,
-		Artifact: rep.Task.Artifact,
-		Config:   ledgerCfg,
-		BaseSeed: j.spec.Seed(),
-		Seed:     rep.Seed,
-		Outcome:  rep.Outcome(),
-		// WallSeconds is the one nondeterministic field, exactly as in
-		// file ledgers; the deterministic outputs live in the archive.
-		WallSeconds: rep.Wall.Seconds(),
-	}
-	if rep.Err != nil {
-		rec.Error = rep.Err.Error()
-	} else {
-		rec.ResultDigest = obs.Digest(rep.Result.String())
+// line on the job's stream — the record a file ledger holds, plus the
+// result rows so stream clients get data, not just digests.
+func (s *Service) streamReport(j *job, plan cliutil.Plan, rep engine.Report) {
+	rec := plan.Record(rep, nil)
+	rec.Schema, rec.RunID = obs.LedgerSchema, j.runID
+	if rep.Err == nil {
 		rec.Rows = campaign.RecordOf(rep).Rows
 	}
 	line, err := json.Marshal(rec)
@@ -608,46 +588,20 @@ func (s *Service) streamReport(j *job, ledgerCfg map[string]any, rep engine.Repo
 }
 
 // archive writes the job's deterministic outputs — task outcomes,
-// report and export blobs, manifest — under <dir>/<tenant>/<run-id>/.
-// The blobs are rendered over wall-zeroed reports, so they are
-// byte-identical to a direct CLI run of the same spec.
-func (s *Service) archive(j *job, runner *engine.Runner, reports []engine.Report) error {
+// report and export blobs, manifest — under <dir>/<tenant>/<run-id>/,
+// settled exactly as a direct CLI run of the spec settles its archive.
+func (s *Service) archive(j *job, plan cliutil.Plan, runner *engine.Runner, reports []engine.Report) error {
 	if s.archiveDir == "" {
 		return nil
 	}
-	identity, err := j.spec.Identity(j.ids)
+	identity, err := plan.Identity(j.spec.Flags())
 	if err != nil {
 		return err
 	}
 	arc := runstore.New(filepath.Join(s.archiveDir, j.tenant), identity)
-	arcReports := append([]engine.Report(nil), reports...)
-	for i := range arcReports {
-		arcReports[i].Wall = 0
-	}
-	for _, rep := range arcReports {
-		o := runstore.TaskOutcome{
-			ID: rep.Task.ID, Seed: rep.Seed,
-			Outcome: rep.Outcome(), Attempts: rep.Attempts,
-		}
-		if rep.Err != nil {
-			o.Error = rep.Err.Error()
-		}
-		arc.Record(o)
-	}
-	var report, export bytes.Buffer
-	engine.FormatText(&report, arcReports)
-	arc.AddBlob("report", report.Bytes())
-	if err := engine.WriteJSON(&export, engine.ExportMeta{BaseSeed: j.spec.Seed(), Quick: j.spec.Quick, RunID: j.runID}, arcReports); err != nil {
+	if err := plan.Settle(arc, reports, runner.Breakers); err != nil {
 		return err
 	}
-	arc.AddBlob("export", export.Bytes())
-	var sums []runstore.BreakerSummary
-	for _, b := range runner.Breakers.Status() {
-		if b.State != "closed" || b.Skipped > 0 {
-			sums = append(sums, runstore.BreakerSummary{Family: b.Family, State: b.State, Skipped: b.Skipped})
-		}
-	}
-	arc.SetBreakers(sums)
 	dir, err := arc.Write()
 	if err != nil {
 		return err
@@ -681,7 +635,7 @@ func (s *Service) settle(j *job, state, reason string) {
 // journalDone appends the settlement record; best-effort (the
 // in-memory state is already authoritative for this process's life).
 func (s *Service) journalDone(j *job) {
-	if err := s.jnl.append(kindDone, markRecord{ID: j.id, State: j.state, Reason: j.reason}); err != nil {
+	if _, err := s.jnl.Append(kindDone, markRecord{ID: j.id, State: j.state, Reason: j.reason}); err != nil {
 		s.log.Error("journaling job settlement", "job", j.id, "err", err)
 	}
 }

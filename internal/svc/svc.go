@@ -17,11 +17,11 @@
 // worker fleet — never changes what it produced.
 //
 // Isolation: each job gets its own engine.Runner, breaker set, retry
-// policy, chaos plan (carried through the context, never through the
-// process-wide defaults), deadline context and panic recovery, so one
-// tenant's pathological spec — a chaos storm, an exhausted retry
-// budget, a watchdog-stuck task — can never stall or corrupt another
-// tenant's results. The shared pool uses caller-runs overflow (see
+// policy, chaos plan (carried through the context as
+// experiments.Overrides, never through process state), deadline
+// context and panic recovery, so one tenant's pathological spec — a
+// chaos storm, an exhausted retry budget, a watchdog-stuck task — can
+// never stall or corrupt another tenant's results. The shared pool uses caller-runs overflow (see
 // engine.Pool), so a saturated pool degrades parallelism, never
 // liveness: every job goroutine always makes progress on its own.
 //
@@ -39,7 +39,7 @@ import (
 	"time"
 
 	"branchscope/internal/cliutil"
-	"branchscope/internal/runstore"
+	"branchscope/internal/engine"
 )
 
 // SpecSchema versions job submissions; the service refuses others.
@@ -110,24 +110,17 @@ func (sp Spec) Flags() cliutil.Flags {
 	}
 }
 
-// Identity derives the job's causal run identity over the resolved
-// task-ID list, byte-for-byte the identity cmd/experiments would
-// derive for the same invocation.
-func (sp Spec) Identity(taskIDs []string) (runstore.Identity, error) {
-	cfg, err := sp.Flags().IdentityConfig(sp.Seed())
-	if err != nil {
-		return runstore.Identity{}, err
+// Plan is the invocation a direct CLI run of the spec executes over
+// the resolved tasks: the identity, ledger records and archive of the
+// job derive from it exactly as cmd/experiments derives its own.
+func (sp Spec) Plan(tasks []engine.Task) cliutil.Plan {
+	return cliutil.Plan{
+		Program: sp.Program,
+		Seed:    sp.Seed(),
+		Quick:   sp.Quick,
+		Tasks:   tasks,
+		Timeout: sp.Timeout(),
 	}
-	if sp.TimeoutMS > 0 {
-		cfg["timeout"] = sp.Timeout().String()
-	}
-	return runstore.Identity{
-		Program:  sp.Program,
-		BaseSeed: sp.Seed(),
-		Quick:    sp.Quick,
-		Tasks:    taskIDs,
-		Config:   cfg,
-	}, nil
 }
 
 // validTenant reports whether the tenant name is a safe archive path

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"branchscope/internal/campaign"
 	"branchscope/internal/engine"
 	"branchscope/internal/experiments"
 	"branchscope/internal/obs"
@@ -99,51 +100,27 @@ func waitState(t *testing.T, s *Service, id, state string) JobStatus {
 	}
 }
 
-// directArchive runs the spec the way cmd/experiments would — same
-// runner shape, same wall-zeroing, same blobs — and archives it under
-// dir, returning the run directory. This is the byte-identity
-// reference service archives are compared against.
-func directArchive(t *testing.T, dir string, sp Spec, tasks []engine.Task, ids []string) string {
+// directArchive runs the spec the way cmd/experiments would — the
+// same plan, runner and settlement — and archives it under dir,
+// returning the run directory. This is the byte-identity reference
+// service archives are compared against.
+func directArchive(t *testing.T, dir string, sp Spec, tasks []engine.Task) string {
 	t.Helper()
 	if sp.Program == "" {
 		sp.Program = "experiments" // the normalization Submit applies
 	}
-	identity, err := sp.Identity(ids)
+	plan := sp.Plan(tasks)
+	identity, err := plan.Identity(sp.Flags())
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &engine.Runner{
-		Timeout:  sp.Timeout(),
-		Retry:    sp.Flags().RetryPolicy(),
-		Breakers: engine.NewBreakerSet(sp.Breaker),
-		RunID:    identity.RunID(),
-	}
+	runner := plan.Runner(sp.Flags())
+	runner.RunID = identity.RunID()
 	reports := runner.RunSuite(context.Background(), tasks, engine.Config{Quick: sp.Quick, Seed: sp.Seed()})
-	for i := range reports {
-		reports[i].Wall = 0
-	}
 	arc := runstore.New(dir, identity)
-	for _, rep := range reports {
-		o := runstore.TaskOutcome{ID: rep.Task.ID, Seed: rep.Seed, Outcome: rep.Outcome(), Attempts: rep.Attempts}
-		if rep.Err != nil {
-			o.Error = rep.Err.Error()
-		}
-		arc.Record(o)
-	}
-	var report, export bytes.Buffer
-	engine.FormatText(&report, reports)
-	arc.AddBlob("report", report.Bytes())
-	if err := engine.WriteJSON(&export, engine.ExportMeta{BaseSeed: sp.Seed(), Quick: sp.Quick, RunID: identity.RunID()}, reports); err != nil {
+	if err := plan.Settle(arc, reports, runner.Breakers); err != nil {
 		t.Fatal(err)
 	}
-	arc.AddBlob("export", export.Bytes())
-	var sums []runstore.BreakerSummary
-	for _, b := range runner.Breakers.Status() {
-		if b.State != "closed" || b.Skipped > 0 {
-			sums = append(sums, runstore.BreakerSummary{Family: b.Family, State: b.State, Skipped: b.Skipped})
-		}
-	}
-	arc.SetBreakers(sums)
 	runDir, err := arc.Write()
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +212,7 @@ func TestJobArchiveByteIdenticalToDirectRun(t *testing.T) {
 		t.Errorf("done job has reason %q", final.Reason)
 	}
 
-	ref := directArchive(t, t.TempDir(), sp, reg[:2], []string{"alpha", "beta"})
+	ref := directArchive(t, t.TempDir(), sp, reg[:2])
 	assertRunDirsIdentical(t, tenantRunDir(t, dir, "alice"), ref)
 
 	// The job's stream replays every task as a branchscope.ledger/v1
@@ -448,6 +425,45 @@ func TestJournalRecovery(t *testing.T) {
 	s1.Close()
 }
 
+// TestJournalReplayInterleavedRecords: start/done records that follow
+// later submits still land on their own job. A pointer into the
+// growing job slice would go stale once a later submit reallocates it,
+// recovering job-000001 below as never started — and re-running it
+// after a restart.
+func TestJournalReplayInterleavedRecords(t *testing.T) {
+	var data []byte
+	for _, rec := range []struct {
+		kind    string
+		payload any
+	}{
+		{kindHeader, svcHeader{Schema: JournalSchema}},
+		{kindJob, jobRecord{ID: "job-000001", Spec: Spec{Schema: SpecSchema, Tenant: "alice"}}},
+		{kindJob, jobRecord{ID: "job-000002", Spec: Spec{Schema: SpecSchema, Tenant: "bob"}}},
+		{kindStart, markRecord{ID: "job-000001"}},
+		{kindDone, markRecord{ID: "job-000001", State: StateDone}},
+		{kindStart, markRecord{ID: "job-000002"}},
+	} {
+		line, err := campaign.Frame(rec.kind, rec.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, line...)
+	}
+	jobs, err := replayJournal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 {
+		t.Fatalf("recovered %d jobs, want 2", len(jobs))
+	}
+	if j := jobs[0]; !j.started || j.state != StateDone {
+		t.Errorf("job-000001 recovered started=%v state=%q, want started and done", j.started, j.state)
+	}
+	if j := jobs[1]; !j.started || j.state != "" {
+		t.Errorf("job-000002 recovered started=%v state=%q, want started and unsettled", j.started, j.state)
+	}
+}
+
 // TestJournalToleratesTornTail: a torn final line (crash mid-append) is
 // dropped on replay; the journaled jobs before it survive.
 func TestJournalToleratesTornTail(t *testing.T) {
@@ -490,20 +506,10 @@ func TestChaoticTenantKilledMidStreamLeavesOthersByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	proceed := make(chan struct{})
 	reg := testRegistry(proceed)
-	// The cmd/experiments Isolate wiring: per-job overrides from the
-	// job's own spec, installed on the job context only.
-	isolate := func(ctx context.Context, sp Spec) context.Context {
-		ov := &experiments.Overrides{Retry: sp.Flags().RetryConfig()}
-		if p, err := sp.Flags().ChaosPlan(sp.Seed()); err == nil && p != nil && p.HasEpisodeFaults() {
-			ov.Chaos = p
-		}
-		return experiments.WithOverrides(ctx, ov)
-	}
 	s := startService(t, Config{
 		Program: "experiments", Tasks: reg, ArchiveDir: dir,
-		Pool:    engine.NewPool(4),
-		Isolate: isolate,
-		Limits:  Limits{Jobs: 2, TenantRunning: 1},
+		Pool:   engine.NewPool(4),
+		Limits: Limits{Jobs: 2, TenantRunning: 1},
 	})
 
 	mallorySpec := Spec{
@@ -537,8 +543,44 @@ func TestChaoticTenantKilledMidStreamLeavesOthersByteIdentical(t *testing.T) {
 		t.Errorf("canceled job archived anyway: %v", err)
 	}
 	// …and alice's bytes are exactly what a direct run produces.
-	ref := directArchive(t, t.TempDir(), aliceSpec, reg[:2], []string{"alpha", "beta"})
+	ref := directArchive(t, t.TempDir(), aliceSpec, reg[:2])
 	assertRunDirsIdentical(t, tenantRunDir(t, dir, "alice"), ref)
+}
+
+// TestJobOverridesComeFromSpec: each job's tasks see exactly their own
+// spec's chaos plan and retry budget on the context — a job without
+// chaos sees none even while a chaotic job shares the service.
+func TestJobOverridesComeFromSpec(t *testing.T) {
+	seen := make(chan *experiments.Overrides, 2)
+	probe := engine.Task{
+		ID: "probe", Artifact: "table",
+		Run: func(ctx context.Context, cfg engine.Config) (engine.Result, error) {
+			seen <- experiments.OverridesFrom(ctx)
+			return rowResult{"probe", cfg.Seed}, nil
+		},
+	}
+	s := startService(t, Config{Program: "experiments", Tasks: []engine.Task{probe}})
+	for _, sp := range []Spec{
+		{Schema: SpecSchema, Tenant: "mallory", Chaos: "heavy", Retry: 3},
+		{Schema: SpecSchema, Tenant: "alice"},
+	} {
+		st, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, st.ID, StateDone)
+		ov := <-seen
+		if ov == nil {
+			t.Fatalf("%s: job context carries no overrides", sp.Tenant)
+		}
+		chaotic := sp.Chaos != ""
+		if (ov.Chaos != nil) != chaotic || (ov.Retry != nil) != chaotic {
+			t.Errorf("%s: overrides chaos=%v retry=%v, want spec's own", sp.Tenant, ov.Chaos, ov.Retry)
+		}
+		if chaotic && ov.Retry.MaxAttempts != sp.Retry {
+			t.Errorf("%s: retry budget %d, want %d", sp.Tenant, ov.Retry.MaxAttempts, sp.Retry)
+		}
+	}
 }
 
 // TestHTTPAPI exercises the wire surface end to end: submit (201 and
