@@ -27,6 +27,7 @@ package bpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"branchscope/internal/fsm"
 	"branchscope/internal/pht"
@@ -200,13 +201,16 @@ type Unit struct {
 	// how addresses resolve. Cached Sites revalidate against it.
 	epoch uint32
 
-	// Inline PHT fast path: the table's live entry array and compiled
-	// transition plane (see pht.Raw), plus whether updates may bypass
-	// the stochastic check. Caching them here turns the per-branch
-	// predict/update into direct slice steps with no cross-package
-	// calls.
+	// Inline PHT step: the table's live entry array (see pht.Raw), the
+	// FSM's per-state predicted direction and its transition plane
+	// (phtNext[state][b] is the successor after outcome b, 1 = taken),
+	// both copied into arrays indexed by any uint8 counter state so
+	// neither lookup needs a bounds check, and whether updates may
+	// bypass the stochastic check. Exec predicts and trains the table
+	// through these with no cross-package calls.
 	phtEntries []uint8
-	phtPlane   []uint8
+	phtPred    [256]bool
+	phtNext    [256][2]uint8
 	phtFast    bool
 
 	// Introspection diagnostics (not architectural state): lifetime
@@ -216,6 +220,10 @@ type Unit struct {
 	commits     uint64
 	mispredicts uint64
 	heat        []uint64
+	// heatShift maps a PHT index to its heatmap set as idx>>heatShift
+	// when PHTSize is len(heat) times a power of two, as in every
+	// model; it is -1 for other sizes, which divide.
+	heatShift int
 }
 
 // New constructs a Unit from cfg. It panics if cfg is invalid: a broken
@@ -225,43 +233,51 @@ func New(cfg Config) *Unit {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	sets := heatSets(cfg.PHTSize)
 	u := &Unit{
-		cfg:      cfg,
-		pht:      pht.New(cfg.FSM, cfg.PHTSize),
-		selector: make([]uint8, cfg.SelectorSize),
-		ghrMask:  (uint64(1) << uint(cfg.GHRBits)) - 1,
-		tags:     make([]tagEntry, cfg.TagEntries),
-		btb:      make([]btbEntry, cfg.BTBEntries),
-		epoch:    1,
-		heat:     make([]uint64, heatSets(cfg.PHTSize)),
+		cfg:       cfg,
+		pht:       pht.New(cfg.FSM, cfg.PHTSize),
+		selector:  make([]uint8, cfg.SelectorSize),
+		ghrMask:   (uint64(1) << uint(cfg.GHRBits)) - 1,
+		tags:      make([]tagEntry, cfg.TagEntries),
+		btb:       make([]btbEntry, cfg.BTBEntries),
+		epoch:     1,
+		heat:      make([]uint64, sets),
+		heatShift: heatShift(cfg.PHTSize, sets),
 	}
 	if cfg.Mitigation == MitigationStochasticFSM {
 		u.pht.SetStochastic(cfg.StochasticP, rng.New(cfg.mitigationSeed+0x5eed))
 	}
-	u.phtEntries, u.phtPlane = u.pht.Raw()
+	var plane []uint8
+	u.phtEntries, plane = u.pht.Raw()
+	for st := range int(cfg.FSM.States) {
+		u.phtPred[st] = cfg.FSM.Predict(uint8(st))
+		u.phtNext[st] = [2]uint8{plane[st<<1], plane[st<<1|1]}
+	}
 	u.phtFast = !u.pht.Stochastic()
 	u.resetSelector()
 	return u
 }
 
-// phtPredict reads entry idx's predicted direction inline.
-func (u *Unit) phtPredict(idx int32) bool {
-	return u.cfg.FSM.Predict(u.phtEntries[idx])
+// heatShift returns k when phtSize == sets<<k, so that
+// idx*sets/phtSize == idx>>k for every index, and -1 otherwise.
+func heatShift(phtSize, sets int) int {
+	if phtSize%sets != 0 {
+		return -1
+	}
+	r := uint(phtSize / sets)
+	if r&(r-1) != 0 {
+		return -1
+	}
+	return bits.TrailingZeros(r)
 }
 
-// phtUpdate steps entry idx inline on deterministic tables; stochastic
-// tables (§10.2) keep the table's slow path and its draw order.
-func (u *Unit) phtUpdate(idx int32, taken bool) {
-	if !u.phtFast {
-		u.pht.Update(int(idx), taken)
-		return
+// heatSet returns the heatmap set of PHT entry idx.
+func (u *Unit) heatSet(idx int32) int {
+	if u.heatShift >= 0 {
+		return int(idx) >> u.heatShift
 	}
-	b := uint(0)
-	if taken {
-		b = 1
-	}
-	e := u.phtEntries
-	e[idx] = u.phtPlane[uint(e[idx])<<1|b]
+	return int(idx) * len(u.heat) / u.cfg.PHTSize
 }
 
 // Config returns the unit's configuration.
@@ -342,14 +358,6 @@ func (u *Unit) bimodalIndex(domain, addr uint64) int {
 	return base + pht.BimodalIndex(addr, size)
 }
 
-func (u *Unit) gshareIndex(domain, addr uint64) int {
-	base, size := u.phtSpan(domain)
-	if u.cfg.Mitigation == MitigationRandomizedIndex {
-		return base + pht.KeyedIndex(addr^(u.ghr<<1), u.domainKey(domain), size)
-	}
-	return base + pht.GshareIndex(addr, u.ghr, size)
-}
-
 func (u *Unit) tagIndex(domain, addr uint64) int {
 	if u.cfg.Mitigation == MitigationPartitioned {
 		n := uint64(u.cfg.Domains)
@@ -362,9 +370,7 @@ func (u *Unit) tagIndex(domain, addr uint64) int {
 	return int(addr % uint64(u.cfg.TagEntries))
 }
 
-// Lookup is the result of a direction+target prediction for one branch
-// instance. It carries the component indices so Commit can update exactly
-// the state that produced the prediction.
+// Lookup is a read-only prediction for one branch instance; see Predict.
 type Lookup struct {
 	// Taken is the predicted direction.
 	Taken bool
@@ -375,21 +381,9 @@ type Lookup struct {
 	// UsedGshare reports whether the 2-level component supplied the
 	// direction (false means 1-level or static).
 	UsedGshare bool
-	// Static reports that the branch was statically predicted
+	// Static reports that the branch is statically predicted
 	// (sensitive range or StaticOnly mode) and will not update state.
 	Static bool
-
-	tagHit bool
-	// Index fields are int32: every table size fits comfortably, and
-	// the narrower Lookup avoids bulk struct-copy (duffcopy) cost on
-	// the per-branch path.
-	bimodalIdx int32
-	gshareIdx  int32
-	selIdx     int32
-	tagIdx     int32
-	btbIdx     int32
-	domain     uint64
-	addr       uint64
 }
 
 // Site is the resolved indexing state of one static branch site for one
@@ -453,77 +447,50 @@ func (u *Unit) ResolveInto(s *Site, domain, addr uint64) {
 	}
 }
 
-// gshareIdx finishes the 2-level index for the current GHR value.
-func (s *Site) gshareIdx(ghr uint64) int32 {
+// choose is the prediction rule for a dynamically predicted site: it
+// finishes the GHR-dependent gshare index, looks the branch up in the
+// seen-branch tracker, and reports whether the 2-level component
+// supplies the direction.
+func (u *Unit) choose(s *Site) (gIdx int32, tagHit, useGshare bool) {
 	if s.gKeyed {
-		return s.gBase + int32(pht.KeyedIndex(s.addr^(ghr<<1), s.gKey, int(s.gSize)))
+		gIdx = s.gBase + int32(pht.KeyedIndex(s.addr^(u.ghr<<1), s.gKey, int(s.gSize)))
+	} else {
+		gIdx = s.gBase + int32(pht.IndexMod(s.gFold^u.ghr, int(s.gSize)))
 	}
-	return s.gBase + int32(pht.IndexMod(s.gFold^ghr, int(s.gSize)))
-}
-
-// Predict produces a direction and target prediction for the branch at
-// addr, executed by the given security domain (hardware contexts in the
-// same process share a domain; the mitigations key on it).
-func (u *Unit) Predict(domain, addr uint64) Lookup {
-	s := u.Resolve(domain, addr)
-	return u.PredictSite(&s)
-}
-
-// PredictSite is Predict for a previously resolved Site.
-func (u *Unit) PredictSite(s *Site) Lookup {
-	var l Lookup
-	u.PredictSiteInto(&l, s)
-	return l
-}
-
-// PredictSiteInto is the per-branch hot path: Predict for a previously
-// resolved Site, written into a caller-owned Lookup (no struct-copy
-// traffic). It skips every index computation except the GHR-dependent
-// gshare finish, revalidating (and re-resolving in place) if the unit's
-// index layout changed since the Site was built.
-func (u *Unit) PredictSiteInto(l *Lookup, s *Site) {
-	if s.epoch != u.epoch {
-		u.ResolveInto(s, s.domain, s.addr)
-	}
-	*l = Lookup{
-		domain:     s.domain,
-		addr:       s.addr,
-		bimodalIdx: s.bimodalIdx,
-		selIdx:     s.selIdx,
-		tagIdx:     s.tagIdx,
-		btbIdx:     s.btbIdx,
-	}
-	if s.static {
-		l.Static = true
-		l.BTBHit, l.Target = u.btbLookupAt(s.btbIdx, s.addr)
-		return
-	}
-	l.gshareIdx = s.gshareIdx(u.ghr)
-	te := u.tags[s.tagIdx]
-	l.tagHit = te.valid && te.addr == s.addr
-
+	te := &u.tags[s.tagIdx]
+	tagHit = te.valid && te.addr == s.addr
 	switch u.cfg.Mode {
 	case BimodalOnly:
-		l.Taken = u.phtPredict(l.bimodalIdx)
 	case GshareOnly:
-		l.Taken = u.phtPredict(l.gshareIdx)
-		l.UsedGshare = true
+		useGshare = true
 	default: // Hybrid
 		// A branch without a live tag is new to the unit: the 2-level
 		// predictor has no usable history for it, so the 1-level
 		// prediction is used (§5.1).
-		if l.tagHit && u.selector[l.selIdx] >= selectorThreshold {
-			l.Taken = u.phtPredict(l.gshareIdx)
-			l.UsedGshare = true
-		} else {
-			l.Taken = u.phtPredict(l.bimodalIdx)
-		}
+		useGshare = tagHit && u.selector[s.selIdx] >= selectorThreshold
 	}
-	l.BTBHit, l.Target = u.btbLookupAt(s.btbIdx, s.addr)
+	return gIdx, tagHit, useGshare
 }
 
-func (u *Unit) btbLookup(addr uint64) (bool, uint64) {
-	return u.btbLookupAt(int32(pht.IndexMod(addr, u.cfg.BTBEntries)), addr)
+// Predict reports how the unit would predict the branch at addr
+// executed by the given security domain (hardware contexts in the same
+// process share a domain; the mitigations key on it), without changing
+// any state. It is a query; branches execute through Exec.
+func (u *Unit) Predict(domain, addr uint64) Lookup {
+	s := u.Resolve(domain, addr)
+	var l Lookup
+	l.BTBHit, l.Target = u.btbLookupAt(s.btbIdx, addr)
+	if s.static {
+		l.Static = true
+		return l
+	}
+	gIdx, _, useGshare := u.choose(&s)
+	idx := s.bimodalIdx
+	if useGshare {
+		idx = gIdx
+	}
+	l.Taken, l.UsedGshare = u.phtPred[u.phtEntries[idx]], useGshare
+	return l
 }
 
 func (u *Unit) btbLookupAt(idx int32, addr uint64) (bool, uint64) {
@@ -534,60 +501,81 @@ func (u *Unit) btbLookupAt(idx int32, addr uint64) (bool, uint64) {
 	return false, 0
 }
 
-// Commit resolves a previously predicted branch with its actual outcome
-// and target, updating the direction predictor, history, tags and BTB.
-// It reports whether the branch was newly allocated in the seen-branch
+// Exec executes one instance of the branch at s, with its actual
+// direction and taken-target: the per-branch step of the unit. It
+// predicts the branch, then commits the outcome to the direction
+// predictor, history, tags and BTB, reading each table entry once. It
+// reports the predicted direction, whether the BTB held the branch's
+// target, and whether the branch was newly allocated in the seen-branch
 // tracker (a tag miss) — the churn signal the internal/detect hardware
 // countermeasure monitors.
-func (u *Unit) Commit(l Lookup, taken bool, target uint64) (allocated bool) {
-	return u.CommitRef(&l, taken, target)
-}
-
-// CommitRef is Commit through a caller-owned Lookup, paired with
-// PredictSiteInto on the per-branch hot path. The Lookup is not
-// modified.
-func (u *Unit) CommitRef(l *Lookup, taken bool, target uint64) (allocated bool) {
-	if l.Static {
-		// Sensitive/static branches leave no trace in the BPU; that is
-		// the entire point of the mitigation (§10.2 "avoid updating any
-		// BPU structures after such branches are executed"). The BTB is
-		// also left untouched.
-		return false
+//
+// The Site revalidates, re-resolving in place, if the unit's index
+// layout changed since it was built.
+func (u *Unit) Exec(s *Site, taken bool, target uint64) (predicted, btbHit, allocated bool) {
+	if s.epoch != u.epoch {
+		u.ResolveInto(s, s.domain, s.addr)
+	}
+	be := &u.btb[s.btbIdx]
+	btbHit = be.valid && be.addr == s.addr
+	if s.static {
+		// Sensitive/static branches are predicted not-taken and leave no
+		// trace in the BPU; that is the entire point of the mitigation
+		// (§10.2 "avoid updating any BPU structures after such branches
+		// are executed"). The BTB is also left untouched.
+		return false, btbHit, false
+	}
+	gIdx, tagHit, useGshare := u.choose(s)
+	bIdx := s.bimodalIdx
+	e := u.phtEntries
+	bState, gState := e[bIdx], e[gIdx]
+	bPred, gPred := u.phtPred[bState], u.phtPred[gState]
+	predicted, idx := bPred, bIdx
+	if useGshare {
+		predicted, idx = gPred, gIdx
 	}
 	u.commits++
-	if l.Taken != taken {
+	if predicted != taken {
 		u.mispredicts++
-		idx := l.bimodalIdx
-		if l.UsedGshare {
-			idx = l.gshareIdx
-		}
-		u.heat[int(idx)*len(u.heat)/u.cfg.PHTSize]++
+		u.heat[u.heatSet(idx)]++
 	}
+
+	// Train the PHT: a single-component mode trains its component; the
+	// hybrid first trains the selector on disagreement, using each
+	// component's pre-update prediction, then lets both components
+	// observe the outcome (shared physical PHT).
+	i1, s1, i2, s2 := bIdx, bState, int32(-1), uint8(0)
 	switch u.cfg.Mode {
 	case BimodalOnly:
-		u.phtUpdate(l.bimodalIdx, taken)
 	case GshareOnly:
-		u.phtUpdate(l.gshareIdx, taken)
+		i1, s1 = gIdx, gState
 	default:
-		// Tournament update: train the selector on disagreement, using
-		// each component's pre-update prediction.
-		bim := u.phtPredict(l.bimodalIdx)
-		gsh := u.phtPredict(l.gshareIdx)
-		if bim != gsh {
-			if gsh == taken {
-				if u.selector[l.selIdx] < selectorMax {
-					u.selector[l.selIdx]++
+		if bPred != gPred {
+			sel := &u.selector[s.selIdx]
+			if gPred == taken {
+				if *sel < selectorMax {
+					*sel++
 				}
-			} else {
-				if u.selector[l.selIdx] > 0 {
-					u.selector[l.selIdx]--
-				}
+			} else if *sel > 0 {
+				*sel--
 			}
 		}
-		// Both components observe the outcome (shared physical PHT).
-		u.phtUpdate(l.bimodalIdx, taken)
-		if l.gshareIdx != l.bimodalIdx {
-			u.phtUpdate(l.gshareIdx, taken)
+		if gIdx != bIdx {
+			i2, s2 = gIdx, gState
+		}
+	}
+	tb := b2u(taken)
+	if u.phtFast {
+		e[i1] = u.phtNext[s1][tb&1]
+		if i2 >= 0 {
+			e[i2] = u.phtNext[s2][tb&1]
+		}
+	} else {
+		// The §10.2 stochastic table keeps its slow path and its
+		// per-update draw order.
+		u.pht.Update(int(i1), taken)
+		if i2 >= 0 {
+			u.pht.Update(int(i2), taken)
 		}
 	}
 
@@ -597,19 +585,19 @@ func (u *Unit) CommitRef(l *Lookup, taken bool, target uint64) (allocated bool) 
 	// and must re-earn the 2-level choice (§5.1's observed behaviour —
 	// "for new branches whose information is not stored in the predictor
 	// history, the 1-level predictor is used").
-	u.ghr = ((u.ghr << 1) | b2u(taken)) & u.ghrMask
-	if !l.tagHit {
-		u.selector[l.selIdx] = u.cfg.SelectorInit
+	u.ghr = (u.ghr<<1 | tb) & u.ghrMask
+	if !tagHit {
+		u.selector[s.selIdx] = u.cfg.SelectorInit
 	}
-	u.tags[l.tagIdx] = tagEntry{valid: true, addr: l.addr}
+	u.tags[s.tagIdx] = tagEntry{valid: true, addr: s.addr}
 
 	// The BTB stores the target only when the branch is taken (§1: "the
 	// target of a conditional branch is updated only when the branch is
 	// taken").
 	if taken {
-		u.btb[l.btbIdx] = btbEntry{valid: true, addr: l.addr, target: target}
+		*be = btbEntry{valid: true, addr: s.addr, target: target}
 	}
-	return !l.tagHit
+	return predicted, btbHit, !tagHit
 }
 
 func b2u(b bool) uint64 {

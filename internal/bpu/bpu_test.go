@@ -5,7 +5,20 @@ import (
 	"testing"
 
 	"branchscope/internal/fsm"
+	"branchscope/internal/pht"
 )
+
+// execAt executes one branch at addr in domain through a freshly
+// resolved site, as cpu.Context.BranchTo does.
+func execAt(u *Unit, domain, addr uint64, taken bool, target uint64) (predicted, btbHit, allocated bool) {
+	s := u.Resolve(domain, addr)
+	return u.Exec(&s, taken, target)
+}
+
+// btbLookup reports whether the BTB holds a target for addr.
+func (u *Unit) btbLookup(addr uint64) (bool, uint64) {
+	return u.btbLookupAt(int32(pht.IndexMod(addr, u.cfg.BTBEntries)), addr)
+}
 
 func testConfig() Config {
 	return Config{
@@ -69,17 +82,15 @@ func TestNewBranchUsesOneLevel(t *testing.T) {
 	cfg := testConfig()
 	cfg.SelectorInit = 15 // selector strongly prefers gshare
 	u := New(cfg)
-	l := u.Predict(0, 0x1000)
-	if l.UsedGshare {
+	if u.Predict(0, 0x1000).UsedGshare {
 		t.Error("branch with no tag used the 2-level predictor")
 	}
-	u.Commit(l, true, 0x2000)
+	execAt(u, 0, 0x1000, true, 0x2000)
 	if !u.TagLive(0, 0x1000) {
 		t.Error("tag not allocated after commit")
 	}
 	// Now the tag is live and the selector prefers gshare.
-	l = u.Predict(0, 0x1000)
-	if !l.UsedGshare {
+	if !u.Predict(0, 0x1000).UsedGshare {
 		t.Error("tagged branch with gshare-leaning selector did not use gshare")
 	}
 }
@@ -89,12 +100,10 @@ func TestTagEvictionForcesOneLevel(t *testing.T) {
 	cfg.SelectorInit = 15
 	u := New(cfg)
 	addr := uint64(0x1000)
-	l := u.Predict(0, addr)
-	u.Commit(l, true, 0)
+	execAt(u, 0, addr, true, 0)
 	// An aliasing branch (same tag slot, different address) evicts it.
 	alias := addr + uint64(cfg.TagEntries)
-	l = u.Predict(0, alias)
-	u.Commit(l, false, 0)
+	execAt(u, 0, alias, false, 0)
 	if u.TagLive(0, addr) {
 		t.Fatal("tag survived aliasing branch")
 	}
@@ -109,15 +118,13 @@ func TestBimodalLearnsDirection(t *testing.T) {
 	u := New(cfg)
 	addr := uint64(0x42)
 	for i := 0; i < 3; i++ {
-		l := u.Predict(0, addr)
-		u.Commit(l, true, 0)
+		execAt(u, 0, addr, true, 0)
 	}
 	if !u.Predict(0, addr).Taken {
 		t.Error("bimodal did not learn taken after three taken outcomes")
 	}
 	for i := 0; i < 4; i++ {
-		l := u.Predict(0, addr)
-		u.Commit(l, false, 0)
+		execAt(u, 0, addr, false, 0)
 	}
 	if u.Predict(0, addr).Taken {
 		t.Error("bimodal did not learn not-taken")
@@ -135,11 +142,9 @@ func TestHybridLearnsIrregularPattern(t *testing.T) {
 	missesPerIter := make([]int, 20)
 	for iter := 0; iter < 20; iter++ {
 		for _, taken := range pattern {
-			l := u.Predict(0, addr)
-			if l.Taken != taken {
+			if predicted, _, _ := execAt(u, 0, addr, taken, 0); predicted != taken {
 				missesPerIter[iter]++
 			}
-			u.Commit(l, taken, 0)
 		}
 	}
 	early := missesPerIter[0]
@@ -159,14 +164,12 @@ func TestStaticOnlyNeverLearns(t *testing.T) {
 	u := New(cfg)
 	addr := uint64(0x77)
 	for i := 0; i < 10; i++ {
-		l := u.Predict(0, addr)
-		if l.Taken {
-			t.Fatal("static predictor predicted taken")
-		}
-		if !l.Static {
+		if !u.Predict(0, addr).Static {
 			t.Fatal("static mode lookup not marked Static")
 		}
-		u.Commit(l, true, 0x1234)
+		if predicted, _, _ := execAt(u, 0, addr, true, 0x1234); predicted {
+			t.Fatal("static predictor predicted taken")
+		}
 	}
 	if u.TagLive(0, addr) {
 		t.Error("static mode allocated a tag")
@@ -179,26 +182,25 @@ func TestStaticOnlyNeverLearns(t *testing.T) {
 func TestBTBSemantics(t *testing.T) {
 	u := New(testConfig())
 	addr, target := uint64(0x9000), uint64(0xa000)
-	l := u.Predict(0, addr)
-	if l.BTBHit {
+	// A not-taken branch must not install a BTB entry.
+	if _, btbHit, _ := execAt(u, 0, addr, false, target); btbHit {
 		t.Fatal("BTB hit before any execution")
 	}
-	// A not-taken branch must not install a BTB entry.
-	u.Commit(l, false, target)
 	if l := u.Predict(0, addr); l.BTBHit {
 		t.Error("not-taken branch installed BTB entry")
 	}
 	// A taken branch installs it.
-	l = u.Predict(0, addr)
-	u.Commit(l, true, target)
-	l = u.Predict(0, addr)
+	execAt(u, 0, addr, true, target)
+	if _, btbHit, _ := execAt(u, 0, addr, false, 0); !btbHit {
+		t.Error("Exec missed the installed BTB entry")
+	}
+	l := u.Predict(0, addr)
 	if !l.BTBHit || l.Target != target {
 		t.Errorf("BTBHit=%v Target=%#x after taken commit", l.BTBHit, l.Target)
 	}
 	// An aliasing taken branch evicts it.
 	alias := addr + uint64(u.cfg.BTBEntries)
-	l = u.Predict(0, alias)
-	u.Commit(l, true, 0xbeef)
+	execAt(u, 0, alias, true, 0xbeef)
 	if l := u.Predict(0, addr); l.BTBHit {
 		t.Error("BTB entry survived aliasing taken branch")
 	}
@@ -207,8 +209,7 @@ func TestBTBSemantics(t *testing.T) {
 func TestGHRShifts(t *testing.T) {
 	u := New(testConfig())
 	for _, taken := range []bool{true, false, true, true} {
-		l := u.Predict(0, 0x10)
-		u.Commit(l, taken, 0)
+		execAt(u, 0, 0x10, taken, 0)
 	}
 	if got := u.GHR(); got != 0b1011 {
 		t.Errorf("GHR = %#b, want 0b1011", got)
@@ -220,8 +221,7 @@ func TestGHRMasked(t *testing.T) {
 	cfg.GHRBits = 3
 	u := New(cfg)
 	for i := 0; i < 10; i++ {
-		l := u.Predict(0, 0x10)
-		u.Commit(l, true, 0)
+		execAt(u, 0, 0x10, true, 0)
 	}
 	if got := u.GHR(); got != 0b111 {
 		t.Errorf("GHR = %#b, want 0b111 (3-bit mask)", got)
@@ -230,8 +230,7 @@ func TestGHRMasked(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	u := New(testConfig())
-	l := u.Predict(0, 0x10)
-	u.Commit(l, true, 0x20)
+	execAt(u, 0, 0x10, true, 0x20)
 	u.Reset()
 	if u.GHR() != 0 || u.TagLive(0, 0x10) {
 		t.Error("Reset left state behind")
@@ -285,11 +284,10 @@ func TestSensitiveRangeStatic(t *testing.T) {
 	cfg.Mitigation = MitigationNoPredictSensitive
 	u := New(cfg)
 	u.MarkSensitive(0x1000, 0x2000)
-	l := u.Predict(0, 0x1800)
-	if !l.Static {
+	if !u.Predict(0, 0x1800).Static {
 		t.Fatal("sensitive branch not statically predicted")
 	}
-	u.Commit(l, true, 0x9999)
+	execAt(u, 0, 0x1800, true, 0x9999)
 	if u.TagLive(0, 0x1800) {
 		t.Error("sensitive branch allocated a tag")
 	}
@@ -302,14 +300,12 @@ func TestSensitiveRangeStatic(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	u := New(testConfig())
 	for i := 0; i < 50; i++ {
-		l := u.Predict(0, uint64(i*3))
-		u.Commit(l, i%3 == 0, uint64(i))
+		execAt(u, 0, uint64(i*3), i%3 == 0, uint64(i))
 	}
 	snap := u.Snapshot()
 	ghr := u.GHR()
 	for i := 0; i < 50; i++ {
-		l := u.Predict(0, uint64(i*5))
-		u.Commit(l, i%2 == 0, 0)
+		execAt(u, 0, uint64(i*5), i%2 == 0, 0)
 	}
 	u.Restore(snap)
 	if u.GHR() != ghr {
@@ -319,8 +315,7 @@ func TestSnapshotRestore(t *testing.T) {
 	// taken right after the snapshot point.
 	u2 := New(testConfig())
 	for i := 0; i < 50; i++ {
-		l := u2.Predict(0, uint64(i*3))
-		u2.Commit(l, i%3 == 0, uint64(i))
+		execAt(u2, 0, uint64(i*3), i%3 == 0, uint64(i))
 	}
 	for i := 0; i < 20; i++ {
 		a := uint64(i * 7)
@@ -347,21 +342,17 @@ func TestModeMitigationStrings(t *testing.T) {
 func TestCommitReportsAllocation(t *testing.T) {
 	u := New(testConfig())
 	addr := uint64(0x3000)
-	l := u.Predict(0, addr)
-	if !u.Commit(l, true, 0) {
-		t.Error("first commit did not report a tag allocation")
+	if _, _, allocated := execAt(u, 0, addr, true, 0); !allocated {
+		t.Error("first execution did not report a tag allocation")
 	}
-	l = u.Predict(0, addr)
-	if u.Commit(l, true, 0) {
-		t.Error("repeat commit reported an allocation")
+	if _, _, allocated := execAt(u, 0, addr, true, 0); allocated {
+		t.Error("repeat execution reported an allocation")
 	}
 	// Evict and return: allocation again.
 	alias := addr + uint64(u.cfg.TagEntries)
-	l = u.Predict(0, alias)
-	u.Commit(l, false, 0)
-	l = u.Predict(0, addr)
-	if !u.Commit(l, true, 0) {
-		t.Error("post-eviction commit did not report an allocation")
+	execAt(u, 0, alias, false, 0)
+	if _, _, allocated := execAt(u, 0, addr, true, 0); !allocated {
+		t.Error("post-eviction execution did not report an allocation")
 	}
 }
 
@@ -369,16 +360,14 @@ func TestStaticCommitReportsNoAllocation(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = StaticOnly
 	u := New(cfg)
-	l := u.Predict(0, 0x40)
-	if u.Commit(l, true, 0) {
-		t.Error("static commit reported an allocation")
+	if _, _, allocated := execAt(u, 0, 0x40, true, 0); allocated {
+		t.Error("static execution reported an allocation")
 	}
 }
 
 func TestFlushBTB(t *testing.T) {
 	u := New(testConfig())
-	l := u.Predict(0, 0x50)
-	u.Commit(l, true, 0x60)
+	execAt(u, 0, 0x50, true, 0x60)
 	if hit, _ := u.btbLookup(0x50); !hit {
 		t.Fatal("BTB entry not installed")
 	}

@@ -26,7 +26,8 @@ func (u *ReferenceUnit) snapshot() *Snapshot {
 // and Haswell, the asymmetric Skylake counter, plus a wider generic
 // shape) under every mode and every §10.2 mitigation. Table sizes are
 // kept small so collisions and partition effects are exercised heavily;
-// one full-size Skylake-shaped config guards the realistic geometry.
+// one full-size Skylake-shaped config guards the realistic geometry, and
+// one PHT size off the heatmap's power-of-two grid pins its fallback.
 func diffConfigs() []Config {
 	specs := []*fsm.Spec{
 		fsm.Textbook2Bit(), // Sandy Bridge / Haswell
@@ -66,6 +67,18 @@ func diffConfigs() []Config {
 			}
 		}
 	}
+	// A PHT that is not the heatmap's set count times a power of two
+	// (192 = 64 sets × 3 entries): the heatmap keeps the division.
+	cfgs = append(cfgs, Config{
+		FSM:          fsm.Textbook2Bit(),
+		PHTSize:      192,
+		SelectorSize: 16,
+		GHRBits:      8,
+		TagEntries:   24,
+		BTBEntries:   32,
+		Mode:         Hybrid,
+		SelectorInit: 3,
+	})
 	// Realistic Skylake geometry (matches uarch.Skylake).
 	cfgs = append(cfgs, Config{
 		FSM:          fsm.SkylakeAsym(),
@@ -81,9 +94,14 @@ func diffConfigs() []Config {
 }
 
 // TestDifferentialReferenceVsFast steps the retained pre-refactor
-// predictor and the flat-plane/resolved-site fast path over identical
+// predictor (Predict then Commit) and the fused Exec step over identical
 // randomized branch streams and asserts prediction-for-prediction and
-// state-for-state equivalence at every step.
+// state-for-state equivalence: at every step the predicted direction,
+// BTB hit and allocation, plus the read-only Predict query; at the end
+// the architectural Snapshot and the lifetime diagnostics, with the
+// heatmap recounted from the reference's lookups by the set formula
+// idx*sets/PHTSize. Recurring sites execute through cached Sites, as
+// ExecPlan does, and a mid-stream MarkSensitive invalidates them.
 func TestDifferentialReferenceVsFast(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		cfg := cfg
@@ -105,27 +123,56 @@ func TestDifferentialReferenceVsFast(t *testing.T) {
 				hot[i] = 0x1000 + uint64(i)*0x151
 			}
 			hot[3], hot[7] = 0x2100, 0x2404 // inside the sensitive range
+			sites := make(map[[2]uint64]*Site)
+			var commits, mispredicts uint64
+			heat := make([]uint64, heatSets(cfg.PHTSize))
 			for step := 0; step < 6000; step++ {
+				if step == 3000 {
+					// A layout change mid-stream: every cached Site is
+					// stale; hot[1] and hot[2] turn sensitive.
+					fast.MarkSensitive(0x1100, 0x1300)
+					ref.MarkSensitive(0x1100, 0x1300)
+				}
 				domain := r.Uint64n(3)
 				addr := hot[r.Uint64n(uint64(len(hot)))]
-				if r.Chance(0.25) {
+				fresh := r.Chance(0.25)
+				if fresh {
 					addr = 0x4000 + r.Uint64n(1<<20)
 				}
 				taken := r.Chance(0.6)
 				target := addr + 16 + r.Uint64n(256)
 
-				lf := fast.Predict(domain, addr)
-				lr := ref.Predict(domain, addr)
-				if lf.Taken != lr.Taken || lf.BTBHit != lr.BTBHit ||
-					lf.Target != lr.Target || lf.UsedGshare != lr.UsedGshare ||
-					lf.Static != lr.Static {
-					t.Fatalf("step %d: lookup diverged for addr %#x domain %d:\nfast %+v\nref  %+v",
-						step, addr, domain, lf, lr)
+				var s *Site
+				if fresh {
+					site := fast.Resolve(domain, addr)
+					s = &site
+				} else if s = sites[[2]uint64{domain, addr}]; s == nil {
+					site := fast.Resolve(domain, addr)
+					s = &site
+					sites[[2]uint64{domain, addr}] = s
 				}
-				af := fast.Commit(lf, taken, target)
+
+				lr := ref.Predict(domain, addr)
+				if lf := fast.Predict(domain, addr); lf != lr.Lookup {
+					t.Fatalf("step %d: Predict diverged for addr %#x domain %d:\nfast %+v\nref  %+v",
+						step, addr, domain, lf, lr.Lookup)
+				}
+				predicted, btbHit, allocated := fast.Exec(s, taken, target)
 				ar := ref.Commit(lr, taken, target)
-				if af != ar {
-					t.Fatalf("step %d: allocation diverged: fast %v ref %v", step, af, ar)
+				if predicted != lr.Taken || btbHit != lr.BTBHit || allocated != ar {
+					t.Fatalf("step %d: Exec diverged for addr %#x domain %d: predicted/btbHit/allocated fast %v/%v/%v ref %v/%v/%v",
+						step, addr, domain, predicted, btbHit, allocated, lr.Taken, lr.BTBHit, ar)
+				}
+				if !lr.Static {
+					commits++
+					if lr.Taken != taken {
+						mispredicts++
+						idx := lr.bimodalIdx
+						if lr.UsedGshare {
+							idx = lr.gshareIdx
+						}
+						heat[int(idx)*len(heat)/cfg.PHTSize]++
+					}
 				}
 			}
 			sf, sr := fast.Snapshot(), ref.snapshot()
@@ -135,13 +182,21 @@ func TestDifferentialReferenceVsFast(t *testing.T) {
 					reflect.DeepEqual(sf.pht, sr.pht),
 					reflect.DeepEqual(sf.selector, sr.selector))
 			}
+			in := fast.Introspect()
+			if in.Commits != commits || in.Mispredicts != mispredicts {
+				t.Errorf("diagnostics: commits/mispredicts %d/%d, reference recount %d/%d",
+					in.Commits, in.Mispredicts, commits, mispredicts)
+			}
+			if !reflect.DeepEqual(in.Heatmap, heat) {
+				t.Errorf("heatmap diverged from the reference recount:\nfast %v\nref  %v", in.Heatmap, heat)
+			}
 		})
 	}
 }
 
 // TestDifferentialSiteReuse pins the resolved-site path specifically: a
 // Site cached across thousands of executions (the ExecPlan situation)
-// must behave exactly like per-call Predict, including across a
+// must behave exactly like the reference predictor, including across a
 // MarkSensitive layout change that invalidates it mid-stream.
 func TestDifferentialSiteReuse(t *testing.T) {
 	cfg := Config{
@@ -155,27 +210,45 @@ func TestDifferentialSiteReuse(t *testing.T) {
 		SelectorInit: 3,
 		Mitigation:   MitigationNoPredictSensitive,
 	}
-	cached := New(cfg)
-	fresh := New(cfg)
+	fast := New(cfg)
+	ref := NewReference(cfg)
 	addr := uint64(0x9000)
-	site := cached.Resolve(1, addr)
+	site := fast.Resolve(1, addr)
 	r := rng.New(42)
 	for step := 0; step < 4000; step++ {
 		if step == 2000 {
 			// Invalidate the cached layout mid-stream.
-			cached.MarkSensitive(addr, addr+4)
-			fresh.MarkSensitive(addr, addr+4)
+			fast.MarkSensitive(addr, addr+4)
+			ref.MarkSensitive(addr, addr+4)
 		}
 		taken := r.Chance(0.5)
-		lc := cached.PredictSite(&site)
-		lfr := fresh.Predict(1, addr)
-		if lc != lfr {
-			t.Fatalf("step %d: cached site diverged from fresh predict:\ncached %+v\nfresh  %+v", step, lc, lfr)
+		lr := ref.Predict(1, addr)
+		predicted, btbHit, allocated := fast.Exec(&site, taken, addr+32)
+		ar := ref.Commit(lr, taken, addr+32)
+		if predicted != lr.Taken || btbHit != lr.BTBHit || allocated != ar {
+			t.Fatalf("step %d: cached site diverged from the reference: predicted/btbHit/allocated %v/%v/%v, want %v/%v/%v",
+				step, predicted, btbHit, allocated, lr.Taken, lr.BTBHit, ar)
 		}
-		cached.Commit(lc, taken, addr+32)
-		fresh.Commit(lfr, taken, addr+32)
 	}
-	if !reflect.DeepEqual(cached.Snapshot(), fresh.Snapshot()) {
-		t.Fatal("architectural state diverged between cached-site and fresh-predict units")
+	if !site.static {
+		t.Error("cached site did not revalidate to the sensitive layout")
+	}
+	if !reflect.DeepEqual(fast.Snapshot(), ref.snapshot()) {
+		t.Fatal("architectural state diverged between the cached-site unit and the reference")
+	}
+}
+
+// TestHeatSetMatchesDivision checks the heatmap's shift mapping against
+// the set formula idx*sets/PHTSize for every index of power-of-two and
+// other table sizes.
+func TestHeatSetMatchesDivision(t *testing.T) {
+	for _, size := range []int{1, 48, 63, 64, 96, 100, 192, 1024, 4096, 16384} {
+		cfg := Config{FSM: fsm.Textbook2Bit(), PHTSize: size, SelectorSize: 4, GHRBits: 4, TagEntries: 4, BTBEntries: 4}
+		u := New(cfg)
+		for idx := 0; idx < size; idx++ {
+			if got, want := u.heatSet(int32(idx)), idx*len(u.heat)/size; got != want {
+				t.Fatalf("PHTSize %d: heatSet(%d) = %d, want %d", size, idx, got, want)
+			}
+		}
 	}
 }

@@ -14,16 +14,14 @@ func TestIntrospectCountsAndHeatmap(t *testing.T) {
 	u := New(testConfig())
 	const addr = 0x400100
 	// Fresh table, SelectorInit 0 → bimodal path, predicts not-taken.
-	// Commit taken twice: the first resolves against a not-taken
+	// Execute taken twice: the first resolves against a not-taken
 	// prediction (mispredict), the second against weakly-not-taken
 	// (still a mispredict on Textbook2Bit: WN predicts not-taken).
 	misses := uint64(0)
 	for i := 0; i < 4; i++ {
-		l := u.Predict(0, addr)
-		if l.Taken != true {
+		if predicted, _, _ := execAt(u, 0, addr, true, addr+64); !predicted {
 			misses++
 		}
-		u.Commit(l, true, addr+64)
 	}
 	in := u.Introspect()
 	if in.Commits != 4 {
@@ -58,8 +56,7 @@ func TestIntrospectStaticExcluded(t *testing.T) {
 	cfg.Mode = StaticOnly
 	u := New(cfg)
 	for i := 0; i < 8; i++ {
-		l := u.Predict(0, 0x400100)
-		u.Commit(l, true, 0x400164) // always mispredicted, never counted
+		execAt(u, 0, 0x400100, true, 0x400164) // always mispredicted, never counted
 	}
 	in := u.Introspect()
 	if in.Commits != 0 || in.Mispredicts != 0 {
@@ -73,8 +70,7 @@ func TestIntrospectStaticExcluded(t *testing.T) {
 func TestDiagnosticsSurviveSnapshotRestore(t *testing.T) {
 	u := New(testConfig())
 	snap := u.Snapshot()
-	l := u.Predict(0, 0x400100)
-	u.Commit(l, true, 0x400164)
+	execAt(u, 0, 0x400100, true, 0x400164)
 	before := u.Introspect()
 	u.Restore(snap)
 	after := u.Introspect()
@@ -99,8 +95,7 @@ func TestIntrospectionJSONDeterministic(t *testing.T) {
 	build := func() []byte {
 		u := New(testConfig())
 		for i := 0; i < 32; i++ {
-			l := u.Predict(0, 0x400000+uint64(i)*6)
-			u.Commit(l, i%3 == 0, 0x500000)
+			execAt(u, 0, 0x400000+uint64(i)*6, i%3 == 0, 0x500000)
 		}
 		data, err := json.Marshal(u.Introspect())
 		if err != nil {
@@ -118,8 +113,7 @@ func TestIntrospectionJSONDeterministic(t *testing.T) {
 	in := u.Introspect()
 	entry0 := in.PHT.Entries[0]
 	for i := 0; i < 8; i++ {
-		l := u.Predict(0, 0x400100)
-		u.Commit(l, true, 0x400164)
+		execAt(u, 0, 0x400100, true, 0x400164)
 	}
 	if in.PHT.Entries[0] != entry0 || in.Commits != 0 {
 		t.Error("introspection aliases live unit state")

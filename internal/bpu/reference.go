@@ -154,10 +154,26 @@ func (u *ReferenceUnit) phtUpdate(idx int32, taken bool) {
 	u.entries[idx] = u.spec.ReferenceNext(u.entries[idx], taken)
 }
 
+// ReferenceLookup is the reference unit's prediction record: the
+// predicted Lookup plus the component indexes that produced it, so
+// Commit updates exactly that state.
+type ReferenceLookup struct {
+	Lookup
+
+	tagHit     bool
+	bimodalIdx int32
+	gshareIdx  int32
+	selIdx     int32
+	tagIdx     int32
+	btbIdx     int32
+	domain     uint64
+	addr       uint64
+}
+
 // Predict is the pre-refactor prediction path: all indexes recomputed
 // eagerly with modulo reductions on every call.
-func (u *ReferenceUnit) Predict(domain, addr uint64) Lookup {
-	l := Lookup{
+func (u *ReferenceUnit) Predict(domain, addr uint64) ReferenceLookup {
+	l := ReferenceLookup{
 		domain:     domain,
 		addr:       addr,
 		bimodalIdx: int32(u.bimodalIndex(domain, addr)),
@@ -202,7 +218,7 @@ func (u *ReferenceUnit) btbLookup(addr uint64) (bool, uint64) {
 }
 
 // Commit is the pre-refactor resolution path.
-func (u *ReferenceUnit) Commit(l Lookup, taken bool, target uint64) (allocated bool) {
+func (u *ReferenceUnit) Commit(l ReferenceLookup, taken bool, target uint64) (allocated bool) {
 	if l.Static {
 		return false
 	}

@@ -133,17 +133,13 @@ type Core struct {
 	tel     *telemetry.Set
 	ctr     coreCounters
 
-	// jitterTab is the quantized half-normal sampler built once from
-	// Timing.JitterSigma: jitterTab[k] = round(2^64 · P(jitter ≤ k)),
-	// so one uniform Uint64 draw compared against the cumulative
-	// thresholds yields a sample of uint64(|N(0,σ)|) exact to within
-	// 2^-64 per bucket — the distribution the polar-method sampler
-	// produced, at a fraction of its cost (no Log/Sqrt, no rejection
-	// loop). Timing is fixed at construction, so the table never
-	// changes. spikeThr is Timing.SpikeProb quantized the same way:
-	// one uniform draw per branch decides the spike, no float compare.
-	jitterTab []uint64
-	spikeThr  uint64
+	// jit is the half-normal timing-noise sampler built once from
+	// Timing.JitterSigma (Timing is fixed at construction, so it never
+	// changes). spikeThr is Timing.SpikeProb quantized to a 64-bit
+	// threshold: one uniform draw per branch decides the spike, no
+	// float compare.
+	jit      halfNormal
+	spikeThr uint64
 }
 
 // ReadFaults intercepts architectural counter reads on a core. The
@@ -183,11 +179,11 @@ type coreCounters struct {
 // NewCore builds a core around a BPU configuration.
 func NewCore(cfg bpu.Config, timing Timing, seed uint64) *Core {
 	return &Core{
-		bpuUnit:   bpu.New(cfg),
-		timing:    timing,
-		rnd:       rng.New(seed),
-		jitterTab: buildJitterTab(timing.JitterSigma),
-		spikeThr:  quantizeProb(timing.SpikeProb),
+		bpuUnit:  bpu.New(cfg),
+		timing:   timing,
+		rnd:      rng.New(seed),
+		jit:      newHalfNormal(timing.JitterSigma),
+		spikeThr: quantizeProb(timing.SpikeProb),
 	}
 }
 
@@ -203,6 +199,60 @@ func quantizeProb(p float64) uint64 {
 		return ^uint64(0)
 	}
 	return uint64(v)
+}
+
+// halfNormal samples uint64(|N(0,σ)|) from one uniform Uint64 draw.
+// tab[k] = round(2^64 · P(jitter ≤ k)), so the sample is the first
+// bucket whose cumulative threshold exceeds the draw, exact to within
+// 2^-64 per bucket — the distribution the polar-method sampler
+// produced, at a fraction of its cost (no Log/Sqrt, no rejection
+// loop).
+//
+// idx indexes the thresholds by the draw's top byte: idx[b] is the
+// first bucket a draw in [b<<56, (b+1)<<56) can land in. A slot no
+// threshold splits maps straight to its bucket; in the few that a
+// threshold splits, the draw finishes the scan from there. The scan
+// alone exits at an unpredictable bucket (at σ = 2.5 a draw lands in
+// buckets 0–3 with probability 31%, 27%, 19%, 12%), which costs the
+// host a mispredicted branch on most draws.
+type halfNormal struct {
+	tab []uint64
+	idx [256]uint8
+}
+
+// newHalfNormal builds the sampler for σ.
+func newHalfNormal(sigma float64) halfNormal {
+	h := halfNormal{tab: buildJitterTab(sigma)}
+	h.index()
+	return h
+}
+
+// index builds idx in one pass over the thresholds: idx[b] is the
+// first k with tab[k] > b<<56, or the last bucket. An entry names at
+// most bucket 255; a slot whose first candidate lies past it (σ near
+// 90 and up) starts the scan at 255, which stays exact.
+func (h *halfNormal) index() {
+	last := len(h.tab) - 1
+	k := 0
+	for b := range h.idx {
+		lo := uint64(b) << 56
+		for k < last && h.tab[k] <= lo {
+			k++
+		}
+		h.idx[b] = uint8(min(k, 255))
+	}
+}
+
+// bucket maps a uniform draw u to its sample: the first k with
+// u < tab[k], or the last bucket. Every bucket below idx[u>>56] has a
+// threshold at or below u, so starting the scan there is exact.
+func (h *halfNormal) bucket(u uint64) uint64 {
+	j := uint64(h.idx[u>>56])
+	last := uint64(len(h.tab) - 1)
+	for j < last && u >= h.tab[j] {
+		j++
+	}
+	return j
 }
 
 // buildJitterTab quantizes the half-normal |N(0,σ)| to cumulative
@@ -283,21 +333,10 @@ func (c *Core) icacheTouch(domain, addr uint64) (extra uint64, miss bool) {
 }
 
 // jitter draws the ambient timing noise for one instruction: one
-// uniform draw against the quantized half-normal thresholds (the
-// expected scan depth is E[jitter]+1 buckets, ~3 at the default σ),
-// plus the spike perturbation.
+// uniform draw for the half-normal sample, one for the spike decision,
+// and one more for the spike's size when it fires.
 func (c *Core) jitter() uint64 {
-	u := c.rnd.Uint64()
-	j := uint64(0)
-	for _, th := range c.jitterTab {
-		if u < th {
-			break
-		}
-		j++
-	}
-	if j >= uint64(len(c.jitterTab)) {
-		j = uint64(len(c.jitterTab)) - 1
-	}
+	j := c.jit.bucket(c.rnd.Uint64())
 	if c.rnd.Uint64() < c.spikeThr {
 		j += c.rnd.Uint64n(c.timing.SpikeMax + 1)
 	}
@@ -414,22 +453,21 @@ func (x *Context) branchSite(s *bpu.Site, taken bool, target uint64) {
 	c := x.core
 	cost := c.timing.BranchBase
 	cost += c.icacheAccess(x.domain, s.Addr())
-	var l bpu.Lookup
-	c.bpuUnit.PredictSiteInto(&l, s)
-	if l.Taken != taken {
+	predicted, btbHit, allocated := c.bpuUnit.Exec(s, taken, target)
+	if predicted != taken {
 		cost += c.timing.MispredictPenalty
 		x.pmc[BranchMisses]++
 		c.ctr.misses.Inc()
 	}
-	if taken && !l.BTBHit {
+	if taken && !btbHit {
 		cost += c.timing.BTBMissPenalty
 		c.ctr.btbMisses.Inc()
 	}
-	cost += c.jitter()
-	if c.bpuUnit.CommitRef(&l, taken, target) {
+	if allocated {
 		x.pmc[BranchAllocations]++
 		c.ctr.allocations.Inc()
 	}
+	cost += c.jitter()
 	c.clock += cost
 	x.pmc[Instructions]++
 	x.pmc[BranchInstructions]++

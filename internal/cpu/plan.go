@@ -27,7 +27,7 @@ type planOp struct {
 // hook delivery points — the chaos preemption surface — are unchanged.
 //
 // Plans hold resolved bpu.Site values, which revalidate against the
-// unit's index-layout epoch inside PredictSite, so a plan compiled
+// unit's index-layout epoch inside bpu.Unit.Exec, so a plan compiled
 // before MarkSensitive stays correct. A plan is tied to the context
 // that created it and, like the context itself, is not safe for
 // concurrent use. The steady-state Run path performs no heap
@@ -92,20 +92,19 @@ func (p *ExecPlan) Run() {
 			continue
 		}
 		cost := c.timing.BranchBase + extra
-		var l bpu.Lookup
-		c.bpuUnit.PredictSiteInto(&l, &op.site)
-		if l.Taken != op.taken {
+		predicted, btbHit, allocated := c.bpuUnit.Exec(&op.site, op.taken, op.target)
+		if predicted != op.taken {
 			cost += c.timing.MispredictPenalty
 			misses++
 		}
-		if op.taken && !l.BTBHit {
+		if op.taken && !btbHit {
 			cost += c.timing.BTBMissPenalty
 			btbMiss++
 		}
-		cost += c.jitter()
-		if c.bpuUnit.CommitRef(&l, op.taken, op.target) {
+		if allocated {
 			allocs++
 		}
+		cost += c.jitter()
 		c.clock += cost
 		instr++
 		branches++

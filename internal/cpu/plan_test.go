@@ -1,11 +1,13 @@
 package cpu
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"branchscope/internal/bpu"
 	"branchscope/internal/fsm"
+	"branchscope/internal/rng"
 )
 
 func planTestCore(seed uint64) *Core {
@@ -117,6 +119,92 @@ func TestResolvedBranchMatchesBranch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serialCore.Snapshot(), cachedCore.Snapshot()) {
 		t.Fatal("core state diverged between Branch and ResolvedBranch execution")
+	}
+}
+
+// scanBucket is the reference half-normal lookup that halfNormal.bucket
+// indexes: a linear scan for the first cumulative threshold above the
+// draw, clamped to the last bucket.
+func scanBucket(tab []uint64, u uint64) uint64 {
+	j := uint64(0)
+	for _, th := range tab {
+		if u < th {
+			break
+		}
+		j++
+	}
+	if j >= uint64(len(tab)) {
+		j = uint64(len(tab)) - 1
+	}
+	return j
+}
+
+// TestJitterIndexMatchesScan pins the indexed draw to the reference scan
+// at every threshold ±1, at both ends of all 256 top-byte slots and on
+// 10^6 random draws. The tables run from a single saturated bucket
+// (σ = 0) through several hundred buckets (σ = 40) to slots whose first
+// candidate bucket is past what an index entry can name (σ = 200), plus
+// a synthetic table with thresholds on and next to slot boundaries and
+// repeated thresholds.
+func TestJitterIndexMatchesScan(t *testing.T) {
+	type table struct {
+		name string
+		h    halfNormal
+	}
+	var tables []table
+	for _, sigma := range []float64{0, 0.5, 2.5, 40, 200} {
+		tables = append(tables, table{fmt.Sprintf("σ=%v", sigma), newHalfNormal(sigma)})
+	}
+	synthetic := halfNormal{tab: []uint64{
+		1 << 56, 1<<56 + 1, 2<<56 - 1, 2 << 56, 2 << 56, 5<<56 - 1, 0xff << 56, ^uint64(0),
+	}}
+	synthetic.index()
+	tables = append(tables, table{"synthetic", synthetic})
+	if n := len(tables[3].h.tab); n <= 256 {
+		t.Fatalf("σ=40 table has %d buckets, want more than 256", n)
+	}
+	if tables[4].h.idx[255] != 255 {
+		t.Fatalf("σ=200 index tops out at bucket %d, want the 255 cap", tables[4].h.idx[255])
+	}
+	for i, tb := range tables {
+		h := tb.h
+		var draws []uint64
+		for _, th := range h.tab {
+			draws = append(draws, th-1, th, th+1)
+		}
+		for b := uint64(0); b < 256; b++ {
+			draws = append(draws, b<<56, b<<56|(1<<56-1))
+		}
+		r := rng.New(uint64(i) + 7)
+		for n := 0; n < 1_000_000; n++ {
+			draws = append(draws, r.Uint64())
+		}
+		for _, u := range draws {
+			if got, want := h.bucket(u), scanBucket(h.tab, u); got != want {
+				t.Fatalf("%s: bucket(%#x) = %d, reference scan %d", tb.name, u, got, want)
+			}
+		}
+	}
+}
+
+// TestJitterDrawOrder checks that Core.jitter returns what the reference
+// scan returns and consumes the core RNG exactly as before: one draw for
+// the sample, one for the spike decision, one more for a spike's size.
+func TestJitterDrawOrder(t *testing.T) {
+	core := planTestCore(99)
+	ref := *core.rnd
+	tab := buildJitterTab(core.timing.JitterSigma)
+	for i := 0; i < 200_000; i++ {
+		want := scanBucket(tab, ref.Uint64())
+		if ref.Uint64() < core.spikeThr {
+			want += ref.Uint64n(core.timing.SpikeMax + 1)
+		}
+		if got := core.jitter(); got != want {
+			t.Fatalf("draw %d: jitter = %d, reference %d", i, got, want)
+		}
+	}
+	if *core.rnd != ref {
+		t.Fatal("jitter consumed the core RNG differently from the reference")
 	}
 }
 

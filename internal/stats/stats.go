@@ -131,18 +131,18 @@ func Freq[T comparable](xs []T) map[T]int {
 }
 
 // Mode returns the most frequent value in xs and its share of the total.
-// For an empty slice it returns the zero value and 0. Ties are broken
-// arbitrarily but deterministically for a given iteration order of counts,
-// so callers that care should inspect Freq directly.
+// For an empty slice it returns the zero value and 0. Ties go to the
+// value that appears first in xs, so the result depends only on the
+// input, never on map iteration order.
 func Mode[T comparable](xs []T) (T, float64) {
 	var best T
 	if len(xs) == 0 {
 		return best, 0
 	}
 	counts := Freq(xs)
-	bestN := -1
-	for v, n := range counts {
-		if n > bestN {
+	bestN := 0
+	for _, v := range xs {
+		if n := counts[v]; n > bestN {
 			best, bestN = v, n
 		}
 	}

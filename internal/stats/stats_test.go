@@ -88,6 +88,29 @@ func TestModeAndFreq(t *testing.T) {
 	}
 }
 
+// TestModeTieBreakIsFirstAppearance pins Mode's tie-break: among equally
+// frequent values the first one in the input wins, on every call. Map
+// iteration order is randomized per range statement, so a tie-break that
+// depends on it returns different values across repeated calls.
+func TestModeTieBreakIsFirstAppearance(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []string
+		want string
+	}{
+		{[]string{"MH", "HH", "MH", "HH", "MM"}, "MH"},
+		{[]string{"HH", "MH", "MH", "HH", "MM"}, "HH"},
+		{[]string{"MM", "HH", "MH", "HM"}, "MM"},
+		{[]string{"HM", "MM", "HH", "MH", "MH", "HM", "HH"}, "HM"},
+	} {
+		for i := 0; i < 200; i++ {
+			if v, share := Mode(tc.xs); v != tc.want {
+				t.Fatalf("call %d: Mode(%v) = %q (share %v), want the first-appearing tie %q",
+					i, tc.xs, v, share, tc.want)
+			}
+		}
+	}
+}
+
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {

@@ -133,9 +133,40 @@ func TestSuiteJSONGoldenExport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	golden := filepath.Join("testdata", "suite_export.golden.json")
+	checkGolden(t, filepath.Join("testdata", "suite_export.golden.json"), buf.Bytes())
+}
+
+// simGoldenIDs covers every simulator draw the per-branch step makes:
+// fig7 and fig9 consume the TSC jitter and icache draws, and
+// mitigations runs every §10.2 predictor variant, including the
+// stochastic-FSM slow path.
+var simGoldenIDs = []string{"fig2", "table1", "fig6", "fig7", "fig9", "montgomery", "slidingwindow", "mitigations"}
+
+// TestSuiteSimulatorGoldenExport pins the simulator's output bytes: the
+// quick -json export of simGoldenIDs at seed 1, wall time zeroed. A
+// change to the predictor step, the timing draws or their order shows
+// up here. Regenerate with `go test -run SuiteSimulatorGolden -update .`
+// only after an intentional change to simulated results.
+func TestSuiteSimulatorGoldenExport(t *testing.T) {
+	tasks := tasksByID(t, simGoldenIDs)
+	r := &engine.Runner{}
+	reports := r.RunSuite(context.Background(), tasks, engine.Config{Quick: true, Seed: 1})
+	for i := range reports {
+		reports[i].Wall = 0
+	}
+	var buf bytes.Buffer
+	if err := engine.WriteJSON(&buf, engine.ExportMeta{BaseSeed: 1, Quick: true}, reports); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "suite_sim.golden.json"), buf.Bytes())
+}
+
+// checkGolden compares got against the golden file, rewriting it first
+// under -update. A mismatch reports the first differing line.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,8 +174,22 @@ func TestSuiteJSONGoldenExport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("JSON export drifted from %s (run with -update if intentional):\ngot:\n%s\nwant:\n%s",
-			golden, buf.Bytes(), want)
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w []byte
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("JSON export drifted from %s at line %d (run with -update if intentional):\ngot:  %s\nwant: %s",
+				golden, i+1, g, w)
+			return
+		}
 	}
 }
