@@ -6,8 +6,8 @@
 // original per-branch cost arithmetic, polar-method jitter, and
 // per-event counter updates — measured in the same run as the live
 // path, so the reported speedup is machine-independent. Results go to
-// BENCH_hotpath.json; CI runs TestHotpathGuardrail and fails on
-// regression below the gate.
+// BENCH_hotpath.json; CI runs TestHotpathGuardrail with -guardrails
+// and fails on regression below the gate.
 package branchscope_test
 
 import (
@@ -187,16 +187,52 @@ func TestReadBitZeroAlloc(t *testing.T) {
 	}
 }
 
+// checkHotpathExecutorsAgree is the guardrail's precondition: the three
+// executors it times must do the same predictor work over the working
+// set, or their speedup compares unlike things.
+func checkHotpathExecutorsAgree(t *testing.T) {
+	t.Helper()
+	const n = hotpathSites * 16
+	legacy := newLegacyMachine(42)
+	for i := 0; i < n; i++ {
+		legacy.branch(1, hotpathAddr(i), i%3 == 0)
+	}
+	serial := uarch.Skylake().NewCore(42).NewContext(1)
+	for i := 0; i < n; i++ {
+		serial.Branch(hotpathAddr(i), i%3 == 0)
+	}
+	batched := uarch.Skylake().NewCore(42).NewContext(1)
+	plan := batched.NewPlan(hotpathSites)
+	for i := 0; i < hotpathSites; i++ {
+		plan.Branch(hotpathAddr(i), i%3 == 0)
+	}
+	for i := 0; i < n; i += hotpathSites {
+		plan.Run()
+	}
+	want := [3]uint64{legacy.pmc[1], legacy.pmc[2], legacy.pmc[3]}
+	for _, x := range []struct {
+		name string
+		ctx  *cpu.Context
+	}{{"serial", serial}, {"batched", batched}} {
+		got := [3]uint64{
+			x.ctx.ReadPMC(cpu.BranchInstructions),
+			x.ctx.ReadPMC(cpu.BranchMisses),
+			x.ctx.ReadPMC(cpu.BranchAllocations),
+		}
+		if got != want {
+			t.Errorf("%s executor retired branches/misses/allocations %v, baseline %v", x.name, got, want)
+		}
+	}
+}
+
 // TestHotpathGuardrail measures the three executors in one run and
 // writes BENCH_hotpath.json. The gate: the batched path must be at
 // least minSpeedup times faster per branch than the pre-refactor
 // baseline, and the steady-state probe path must not allocate.
 func TestHotpathGuardrail(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guardrail skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("benchmark guardrail skipped under the race detector")
+	checkHotpathExecutorsAgree(t)
+	if !timeGuardrail(t) {
+		return
 	}
 
 	legacy := testing.Benchmark(BenchmarkHotpathLegacy)

@@ -12,9 +12,13 @@
 // branch quanta, while the attacker's own code runs directly on its
 // context.
 //
-// Threads use strict channel handoff: at any moment either the scheduler
-// or exactly one thread is running, so the simulated core's state needs
-// no locking and execution is fully deterministic.
+// Control passes between the scheduler and a thread by strict handoff:
+// at any moment either the scheduler or exactly one thread is running,
+// so the simulated core's state needs no locking and execution is fully
+// deterministic. The contract that keeps this true is that one goroutine
+// drives a System's threads at a time: Step, StepBranches, Run, Kill
+// and Finished are not safe to call concurrently. A panic in a thread's
+// function is re-raised on the goroutine that resumed it.
 package sched
 
 import (
@@ -104,36 +108,34 @@ func (s *System) NewProcess(name string) *cpu.Context {
 }
 
 // grant is one scheduling quantum: budgets in retired instructions and
-// retired branches. A negative budget is unlimited. kill tears the thread
-// down instead of resuming it.
+// retired branches. A negative budget is unlimited.
 type grant struct {
 	instr    int64
 	branches int64
-	kill     bool
 }
 
 // killed is the sentinel panic value used to unwind a killed thread.
 type killed struct{}
 
 // Thread is a process running as a cooperative coroutine. It executes
-// only while the scheduler has granted it a quantum; it pauses itself by
-// blocking in its instruction-retire hook.
+// only while the scheduler has granted it a quantum; it pauses itself in
+// its instruction-retire hook.
 type Thread struct {
 	Name string
 
-	ctx      *cpu.Context
-	resume   chan grant
-	paused   chan struct{}
-	finished chan struct{}
+	ctx *cpu.Context
+	co  coro
 
-	// Owned by the thread goroutine while running.
+	// budget is the quantum being spent: step writes it before resuming
+	// the thread, and onRetire spends it while the thread runs.
 	budget grant
 
-	// tel/steps/switches are captured from the System at spawn time
+	// tel and the counters are captured from the System at spawn time
 	// (nil when telemetry is disabled).
 	tel      *telemetry.Set
 	steps    *telemetry.Counter
 	switches *telemetry.Counter
+	kills    *telemetry.Counter
 }
 
 // Spawn creates a process executing fn on a fresh context and returns its
@@ -143,30 +145,14 @@ func (s *System) Spawn(name string, fn func(*cpu.Context)) *Thread {
 	t := &Thread{
 		Name:     name,
 		ctx:      s.NewProcess(name),
-		resume:   make(chan grant),
-		paused:   make(chan struct{}),
-		finished: make(chan struct{}),
 		tel:      s.tel,
 		steps:    s.ctr.steps,
 		switches: s.ctr.switches,
+		kills:    s.ctr.kills,
 	}
 	s.ctr.spawns.Inc()
 	t.ctx.SetHook(t.onRetire)
-	go func() {
-		defer close(t.finished)
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killed); !ok {
-					panic(r)
-				}
-			}
-		}()
-		t.budget = <-t.resume
-		if t.budget.kill {
-			return
-		}
-		fn(t.ctx)
-	}()
+	t.co.start(func() { fn(t.ctx) })
 	return t
 }
 
@@ -179,13 +165,8 @@ func (t *Thread) onRetire(isBranch bool) {
 	if isBranch && t.budget.branches > 0 {
 		t.budget.branches--
 	}
-	exhausted := t.budget.instr == 0 || t.budget.branches == 0
-	if exhausted {
-		t.paused <- struct{}{}
-		t.budget = <-t.resume
-		if t.budget.kill {
-			panic(killed{})
-		}
+	if t.budget.instr == 0 || t.budget.branches == 0 {
+		t.co.pause()
 	}
 }
 
@@ -201,19 +182,8 @@ func (t *Thread) step(g grant) bool {
 		t.switches.Add(2)
 		start = t.ctx.Core().Clock()
 	}
-	alive := func() bool {
-		select {
-		case <-t.finished:
-			return false
-		case t.resume <- g:
-		}
-		select {
-		case <-t.paused:
-			return true
-		case <-t.finished:
-			return false
-		}
-	}()
+	t.budget = g
+	alive := t.co.resume()
 	if t.tel != nil {
 		if end := t.ctx.Core().Clock(); end > start {
 			t.tel.Span(t.ctx.TID(), "sched", "quantum", start, end, nil)
@@ -250,31 +220,20 @@ func (t *Thread) Run() {
 	}
 }
 
-// Kill terminates a suspended thread: its next resume unwinds the process
-// function instead of continuing it. Killing a finished thread is a
-// no-op. This models the OS reclaiming a process (noise generators run
-// forever and must be reaped at the end of an experiment).
+// Kill terminates a suspended thread: the process function unwinds from
+// its pause point, running its deferred calls, and never continues.
+// Killing a finished thread is a no-op. This models the OS reclaiming a
+// process (noise generators run forever and must be reaped at the end
+// of an experiment).
 func (t *Thread) Kill() {
-	select {
-	case <-t.finished:
-		return
-	case t.resume <- grant{kill: true}:
-	}
-	<-t.finished
-	if t.tel != nil {
-		t.tel.Counter("sched.kills").Inc()
+	if t.co.kill() {
+		t.kills.Inc()
 	}
 }
 
-// Finished reports whether the thread's function has returned.
-func (t *Thread) Finished() bool {
-	select {
-	case <-t.finished:
-		return true
-	default:
-		return false
-	}
-}
+// Finished reports whether the thread's function has returned, been
+// killed or panicked.
+func (t *Thread) Finished() bool { return t.co.finished() }
 
 // Context exposes the thread's hardware context; useful for reading its
 // performance counters after it finishes.

@@ -9,7 +9,8 @@ import (
 )
 
 // TestSystemTelemetry checks the scheduler's counters and the per-thread
-// quantum spans on a stepped thread.
+// quantum spans on two stepped threads, one run to completion and one
+// killed while suspended.
 func TestSystemTelemetry(t *testing.T) {
 	sys := NewSystem(uarch.Skylake(), 1)
 	set := telemetry.New(telemetry.NewRegistry(), telemetry.NewTracer())
@@ -23,38 +24,48 @@ func TestSystemTelemetry(t *testing.T) {
 			ctx.Branch(uint64(0x100+16*i), true)
 		}
 	})
+	sleeper := sys.Spawn("sleeper", func(ctx *cpu.Context) { ctx.Work(100) })
 	th.StepBranches(3)
 	th.Run()
-	th.Kill()
+	sleeper.Step(1)
+	sleeper.Kill() // suspended: counts
+	th.Kill()      // finished: a no-op that counts nothing
 
 	reg := set.Metrics
-	if reg.Counter("sched.spawns").Value() != 1 {
-		t.Error("sched.spawns != 1")
+	if reg.Counter("sched.spawns").Value() != 2 {
+		t.Error("sched.spawns != 2")
 	}
-	if reg.Counter("sched.processes").Value() != 1 {
-		t.Error("sched.processes != 1")
+	if reg.Counter("sched.processes").Value() != 2 {
+		t.Error("sched.processes != 2")
 	}
-	if got := reg.Counter("sched.steps").Value(); got < 2 {
-		t.Errorf("sched.steps = %d, want >= 2", got)
+	if got := reg.Counter("sched.steps").Value(); got < 3 {
+		t.Errorf("sched.steps = %d, want >= 3", got)
+	}
+	if got := reg.Counter("sched.kills").Value(); got != 1 {
+		t.Errorf("sched.kills = %d, want 1", got)
 	}
 	if reg.Counter("cpu.branches").Value() != 8 {
 		t.Errorf("cpu.branches = %d, want 8", reg.Counter("cpu.branches").Value())
 	}
 
-	var quanta, named int
+	quanta := map[int]int{}
+	var named int
 	for _, ev := range set.Trace.Events() {
 		switch {
 		case ev.Name == "quantum" && ev.Phase == telemetry.PhaseComplete:
-			quanta++
-			if ev.TID != th.Context().TID() {
-				t.Errorf("quantum span on tid %d, want %d", ev.TID, th.Context().TID())
-			}
+			quanta[ev.TID]++
 		case ev.Phase == telemetry.PhaseMetadata && ev.Args["name"] == "worker":
 			named = ev.TID
 		}
 	}
-	if quanta < 2 {
-		t.Errorf("trace has %d quantum spans, want >= 2", quanta)
+	if n := quanta[th.Context().TID()]; n < 2 {
+		t.Errorf("trace has %d quantum spans for the worker, want >= 2", n)
+	}
+	if n := quanta[sleeper.Context().TID()]; n != 1 {
+		t.Errorf("trace has %d quantum spans for the sleeper, want 1", n)
+	}
+	if len(quanta) != 2 {
+		t.Errorf("quantum spans on %d tids, want 2: %v", len(quanta), quanta)
 	}
 	if named != th.Context().TID() {
 		t.Errorf("thread_name metadata on tid %d, want %d", named, th.Context().TID())

@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"branchscope/internal/cpu"
 	"branchscope/internal/noise"
 	"branchscope/internal/rng"
+	"branchscope/internal/telemetry"
 	"branchscope/internal/uarch"
 )
 
@@ -284,4 +286,73 @@ func TestKillFinishedThreadNoop(t *testing.T) {
 	th := s.Spawn("x", func(ctx *cpu.Context) { ctx.Nop(1) })
 	th.Run()
 	th.Kill() // must not hang or panic
+}
+
+func TestKillRunsDeferredCalls(t *testing.T) {
+	s := newSys()
+	var unwound, cut bool
+	th := s.Spawn("v", func(ctx *cpu.Context) {
+		defer func() { unwound = true }()
+		defer func() {
+			// A killed thread retires nothing more: the kill unwinds
+			// this deferred call again at its first instruction.
+			ctx.Nop(0x20)
+			cut = false
+		}()
+		cut = true
+		for {
+			ctx.Nop(0x10)
+		}
+	})
+	th.Step(10)
+	th.Kill()
+	if !unwound {
+		t.Error("Kill did not run the victim's deferred calls")
+	}
+	if !cut {
+		t.Error("a deferred call ran past an instruction retired after Kill")
+	}
+	if !th.Finished() || th.Step(1) {
+		t.Error("killed thread still runnable")
+	}
+}
+
+// TestVictimPanicReachesCaller pins the lifecycle of a thread whose
+// function panics, on its first resume or after pausing: the value is
+// re-raised on the goroutine that stepped the thread, the thread is
+// finished afterwards, and a later Kill returns without counting a kill.
+func TestVictimPanicReachesCaller(t *testing.T) {
+	for _, before := range []int{0, 5} {
+		t.Run(fmt.Sprintf("after%d", before), func(t *testing.T) {
+			s := newSys()
+			set := telemetry.New(telemetry.NewRegistry(), nil)
+			s.SetTelemetry(set)
+			th := s.Spawn("v", func(ctx *cpu.Context) {
+				ctx.Work(uint64(before))
+				panic("victim fault")
+			})
+			if before > 0 && !th.Step(before) {
+				t.Fatal("thread finished before its panic")
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != "victim fault" {
+						t.Errorf("recovered %v, want the victim's panic value", r)
+					}
+				}()
+				th.Step(1)
+				t.Error("Step returned past the victim's panic")
+			}()
+			if !th.Finished() {
+				t.Error("panicked thread not finished")
+			}
+			if th.Step(1) || th.StepBranches(1) {
+				t.Error("panicked thread still runnable")
+			}
+			th.Kill()
+			if got := set.Metrics.Counter("sched.kills").Value(); got != 0 {
+				t.Errorf("sched.kills = %d after killing a panicked thread, want 0", got)
+			}
+		})
+	}
 }

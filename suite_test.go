@@ -18,6 +18,34 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
 
+// runGuardrails enables the timing half of the three guardrails
+// (TestHotpathGuardrail, TestParallelSpeedupGuardrail,
+// TestTelemetryOverheadGuardrail). It measures wall time and rewrites
+// the tracked BENCH_*.json, so a plain `go test ./...` leaves it out;
+// CI's bench steps pass the flag:
+//
+//	go test -run TestHotpathGuardrail -v . -guardrails
+var runGuardrails = flag.Bool("guardrails", false, "run the timing guardrails and rewrite BENCH_*.json")
+
+// timeGuardrail reports whether a guardrail should measure and write
+// its BENCH_*.json: only with -guardrails, and never in -short mode or
+// under the race detector, where timings mean nothing (the test skips
+// there). Without the flag a guardrail checks only the preconditions of
+// its measurement, which take no time to speak of, and returns.
+func timeGuardrail(t *testing.T) bool {
+	t.Helper()
+	switch {
+	case !*runGuardrails:
+		t.Log("timing left out: pass -guardrails to measure and rewrite BENCH_*.json")
+		return false
+	case testing.Short():
+		t.Skip("benchmark guardrail skipped in -short mode")
+	case raceEnabled:
+		t.Skip("benchmark guardrail skipped under the race detector")
+	}
+	return true
+}
+
 // fastIDs is the subset of experiments cheap enough (~10ms each at quick
 // scale) to re-run at several parallelism levels in every test run; the
 // full-suite comparison below covers the rest outside -short.

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 
 	"branchscope/internal/experiments"
@@ -74,11 +75,21 @@ func BenchmarkNilCounterInc(b *testing.B) {
 // increment must stay in fast-inlined-call territory. Results go to
 // BENCH_telemetry.json in the repo root.
 func TestTelemetryOverheadGuardrail(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guardrail skipped in -short mode")
+	// Precondition: the two timed runs do the same simulated work.
+	var results [2]experiments.CovertResult
+	for i, set := range []*telemetry.Set{nil, telemetry.New(telemetry.NewRegistry(), telemetry.NewTracer())} {
+		r, err := experiments.RunCovert(context.Background(), benchCovertConfig(set))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Config.Telemetry = nil
+		results[i] = r
 	}
-	if raceEnabled {
-		t.Skip("benchmark guardrail skipped under the race detector")
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatalf("attaching telemetry changed the covert result:\n disabled %+v\n enabled  %+v", results[0], results[1])
+	}
+	if !timeGuardrail(t) {
+		return
 	}
 
 	disabled := testing.Benchmark(BenchmarkCovertTelemetryDisabled)
