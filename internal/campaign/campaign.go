@@ -7,6 +7,7 @@ import (
 	"os"
 	"sync"
 
+	"branchscope/internal/durable"
 	"branchscope/internal/engine"
 )
 
@@ -55,7 +56,7 @@ func New(path string, h Header) (*Campaign, error) {
 // to disk atomically, and returns a campaign that will replay the
 // completed tasks and re-run the rest.
 func Resume(path string, want Header) (*Campaign, error) {
-	h, recs, torn, err := Load(path)
+	h, recs, _, err := Load(path)
 	if err != nil {
 		return nil, err
 	}
@@ -66,33 +67,27 @@ func Resume(path string, want Header) (*Campaign, error) {
 	// temp+rename, dropping the torn tail so the reopened journal is
 	// clean before new appends land. Failed-task records are dropped
 	// too — their tasks are about to re-run and re-journal.
-	var buf []byte
-	line, err := frame("header", h)
+	buf, err := durable.Frame("header", h)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: re-encoding journal header: %w", err)
 	}
-	buf = append(buf, line...)
 	completed := recs[:0]
 	for _, rec := range recs {
 		if !rec.Completed() {
 			continue
 		}
-		line, err := frame("task", rec)
+		line, err := durable.Frame("task", rec)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: re-encoding task record %s: %w", rec.ID, err)
 		}
 		buf = append(buf, line...)
 		completed = append(completed, rec)
 	}
-	if err := WriteAtomic(path, buf); err != nil {
+	app, err := durable.Create(path, buf)
+	if err != nil {
 		return nil, fmt.Errorf("campaign: compacting journal: %w", err)
 	}
-	j, err := open(path)
-	if err != nil {
-		return nil, err
-	}
-	_ = torn // already healed by the compaction
-	return &Campaign{Journal: j, Replayed: completed}, nil
+	return &Campaign{Journal: &Journal{path: path, app: app}, Replayed: completed}, nil
 }
 
 // headerMatches verifies a loaded journal belongs to the resuming run.

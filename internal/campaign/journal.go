@@ -12,22 +12,22 @@
 //	{"sum":"crc32:<8 hex>","header":{...}}   (first line)
 //	{"sum":"crc32:<8 hex>","task":{...}}     (every further line)
 //
-// where the checksum covers the exact payload bytes. Records are
-// flushed and fsynced as tasks complete, so the file never lies about
-// a task that was reported done. The initial header is written via
-// temp-file+rename (the journal exists atomically or not at all), and
-// Resume compacts the surviving records the same way before appending.
-// A torn final line — the crash arriving mid-append — is expected and
-// dropped on load; a corrupt line anywhere earlier is real damage and
-// fails the load.
+// in internal/durable's CRC frame. Records are flushed and fsynced as
+// tasks complete, so the file never lies about a task that was
+// reported done. The initial header is written via temp-file+rename
+// (the journal exists atomically or not at all), and Resume compacts
+// the surviving records the same way before appending. A torn final
+// line — the crash arriving mid-append — is expected and dropped on
+// load; a corrupt line anywhere earlier is real damage and fails the
+// load (durable.Lines).
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
+
+	"branchscope/internal/durable"
 )
 
 // Schema versions journal records; bump on incompatible change.
@@ -77,43 +77,11 @@ func (r TaskRecord) Completed() bool {
 	return false
 }
 
-// envelope is the checksummed line framing.
-type envelope struct {
-	Sum    string          `json:"sum"`
-	Header json.RawMessage `json:"header,omitempty"`
-	Task   json.RawMessage `json:"task,omitempty"`
-}
-
-// checksum fingerprints a payload for the line frame.
-func checksum(payload []byte) string {
-	return fmt.Sprintf("crc32:%08x", crc32.ChecksumIEEE(payload))
-}
-
-// frame renders one journal line for a payload.
-func frame(kind string, payload any) ([]byte, error) {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(envelope{Sum: checksum(body)})
-	if err != nil {
-		return nil, err
-	}
-	// Splice the payload under its kind key without re-encoding it:
-	// the checksum must cover the exact bytes a reader will see.
-	var buf bytes.Buffer
-	buf.Write(line[:len(line)-1]) // drop the closing brace
-	fmt.Fprintf(&buf, ",%q:", kind)
-	buf.Write(body)
-	buf.WriteString("}\n")
-	return buf.Bytes(), nil
-}
-
 // Journal is an open campaign journal. Appends are mutex-serialized,
-// flushed and fsynced per record (see Appender).
+// flushed and fsynced per record (see durable.Appender).
 type Journal struct {
 	path string
-	app  *Appender
+	app  *durable.Appender
 }
 
 // Create writes a fresh journal for the run atomically (temp-file +
@@ -121,101 +89,50 @@ type Journal struct {
 // is replaced: a non-resume run with -checkpoint starts a new campaign.
 func Create(path string, h Header) (*Journal, error) {
 	h.Schema = Schema
-	line, err := frame("header", h)
+	line, err := durable.Frame("header", h)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: encoding journal header: %w", err)
 	}
-	if err := WriteAtomic(path, line); err != nil {
-		return nil, fmt.Errorf("campaign: creating journal: %w", err)
-	}
-	return open(path)
-}
-
-// open opens an existing journal file for appending.
-func open(path string) (*Journal, error) {
-	app, err := OpenAppender(path)
+	app, err := durable.Create(path, line)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: creating journal: %w", err)
 	}
 	return &Journal{path: path, app: app}, nil
 }
 
-// Load reads a journal tolerantly: it returns the header, every valid
-// task record, and whether a torn final line was dropped. Checksum
-// mismatches and malformed lines are fatal unless they are the very
-// last content in the file (the crash-mid-append case).
+// Load reads a journal tolerantly (durable.Lines): it returns the
+// header, every valid task record, and whether a torn final line was
+// dropped. The first frame must be the header and every later one a
+// task record.
 func Load(path string) (h Header, recs []TaskRecord, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Header{}, nil, false, fmt.Errorf("campaign: reading journal: %w", err)
 	}
-	lines := bytes.Split(data, []byte("\n"))
-	var pending error
-	sawHeader := false
-	for i, raw := range lines {
-		line := bytes.TrimSpace(raw)
-		if len(line) == 0 {
-			continue
+	frames, torn, err := durable.Lines(data, durable.ParseFrame)
+	if err != nil {
+		return Header{}, nil, false, fmt.Errorf("campaign: journal %w", err)
+	}
+	if len(frames) == 0 || frames[0].Kind != "header" {
+		return Header{}, nil, false, fmt.Errorf("campaign: journal %s has no intact header", path)
+	}
+	if err := json.Unmarshal(frames[0].Payload, &h); err != nil {
+		return Header{}, nil, false, fmt.Errorf("campaign: bad journal header: %w", err)
+	}
+	if h.Schema != Schema {
+		return Header{}, nil, false, fmt.Errorf("campaign: journal schema %q, want %q", h.Schema, Schema)
+	}
+	for i, f := range frames[1:] {
+		if f.Kind != "task" {
+			return Header{}, nil, false, fmt.Errorf("campaign: journal record %d is a %q frame, want a task", i+2, f.Kind)
 		}
-		if pending != nil {
-			// Content after a bad line: mid-file corruption, not a torn
-			// tail.
-			return Header{}, nil, false, pending
+		var tr TaskRecord
+		if err := json.Unmarshal(f.Payload, &tr); err != nil {
+			return Header{}, nil, false, fmt.Errorf("campaign: journal record %d: bad task record: %w", i+2, err)
 		}
-		rec, perr := parseLine(line, i+1)
-		if perr != nil {
-			pending = perr
-			continue
-		}
-		switch {
-		case rec.Header != nil:
-			if sawHeader {
-				return Header{}, nil, false, fmt.Errorf("campaign: journal line %d: duplicate header", i+1)
-			}
-			if err := json.Unmarshal(rec.Header, &h); err != nil {
-				return Header{}, nil, false, fmt.Errorf("campaign: journal line %d: bad header: %w", i+1, err)
-			}
-			if h.Schema != Schema {
-				return Header{}, nil, false, fmt.Errorf("campaign: journal schema %q, want %q", h.Schema, Schema)
-			}
-			sawHeader = true
-		case rec.Task != nil:
-			if !sawHeader {
-				return Header{}, nil, false, fmt.Errorf("campaign: journal line %d: task record before header", i+1)
-			}
-			var tr TaskRecord
-			if err := json.Unmarshal(rec.Task, &tr); err != nil {
-				return Header{}, nil, false, fmt.Errorf("campaign: journal line %d: bad task record: %w", i+1, err)
-			}
-			recs = append(recs, tr)
-		}
+		recs = append(recs, tr)
 	}
-	if !sawHeader {
-		if pending != nil {
-			return Header{}, nil, false, fmt.Errorf("campaign: journal has no intact header: %w", pending)
-		}
-		return Header{}, nil, false, fmt.Errorf("campaign: journal %s has no header", path)
-	}
-	return h, recs, pending != nil, nil
-}
-
-// parseLine decodes and checksum-verifies one framed line.
-func parseLine(line []byte, n int) (envelope, error) {
-	var env envelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return envelope{}, fmt.Errorf("campaign: journal line %d: %w", n, err)
-	}
-	payload := env.Header
-	if payload == nil {
-		payload = env.Task
-	}
-	if payload == nil {
-		return envelope{}, fmt.Errorf("campaign: journal line %d: neither header nor task", n)
-	}
-	if got := checksum(payload); got != env.Sum {
-		return envelope{}, fmt.Errorf("campaign: journal line %d: checksum %s, recorded %s", n, got, env.Sum)
-	}
-	return env, nil
+	return h, recs, torn, nil
 }
 
 // Append journals one task outcome, fsyncing before it returns so a

@@ -32,6 +32,7 @@ import (
 	"branchscope/internal/campaign"
 	"branchscope/internal/chaos"
 	"branchscope/internal/core"
+	"branchscope/internal/durable"
 	"branchscope/internal/engine"
 	"branchscope/internal/experiments"
 	"branchscope/internal/fabric"
@@ -447,9 +448,10 @@ func NewSession(prog string, f Flags, o Options) (*Session, error) {
 		s.Trace = telemetry.NewTracer()
 	}
 	if f.LedgerOut != "" {
-		// Heal a torn final record before appending: once new lines land
-		// behind it, the torn line would read as mid-file corruption.
-		torn, err := obs.RepairLedgerTail(f.LedgerOut)
+		// Heal the tail before appending: once new lines land behind a
+		// torn or unterminated final record, it would read as mid-file
+		// corruption.
+		_, torn, err := durable.Heal(f.LedgerOut, obs.ParseLedgerRecord)
 		if err != nil {
 			log.Warn("ledger tail check failed; appending anyway", "path", f.LedgerOut, "err", err)
 		} else if torn {

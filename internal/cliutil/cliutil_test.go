@@ -421,45 +421,57 @@ func TestSessionArchiveLifecycle(t *testing.T) {
 // TestSessionRepairsTornLedger: reopening a ledger whose final record
 // was torn by a crash truncates the torn line (otherwise the next
 // append would bury it mid-file as hard corruption) and flags the
-// session so /statusz can surface the loss.
+// session so /statusz can surface the loss. A complete final record
+// that lost only its newline is kept and ended instead, so the next
+// append does not join its line.
 func TestSessionRepairsTornLedger(t *testing.T) {
-	dir := t.TempDir()
-	ledgerPath := filepath.Join(dir, "ledger.jsonl")
-	good := `{"schema":"branchscope.ledger/v1","program":"t","id":"a","config":{},"base_seed":1,"seed":1,"outcome":"ok","wall_seconds":0}` + "\n"
-	if err := os.WriteFile(ledgerPath, []byte(good+`{"schema":"branchscope.le`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var logBuf bytes.Buffer
-	s, err := NewSession("t", Flags{LogFormat: "text", LogLevel: "info", LedgerOut: ledgerPath},
-		Options{LogWriter: &logBuf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.LedgerTorn() {
-		t.Error("torn ledger tail not flagged on the session")
-	}
-	if !strings.Contains(logBuf.String(), "torn") {
-		t.Errorf("torn ledger not logged: %q", logBuf.String())
-	}
-	s.Ledger.Append(obs.LedgerRecord{Program: "t", ID: "b", Outcome: "ok"})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	good := `{"schema":"branchscope.ledger/v1","program":"t","id":"a","config":{},"base_seed":1,"seed":1,"outcome":"ok","wall_seconds":0}`
+	for _, tc := range []struct {
+		name, content string
+		torn          bool
+	}{
+		{"torn", good + "\n" + `{"schema":"branchscope.le`, true},
+		{"unterminated", good, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ledgerPath := filepath.Join(t.TempDir(), "ledger.jsonl")
+			if err := os.WriteFile(ledgerPath, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var logBuf bytes.Buffer
+			s, err := NewSession("t", Flags{LogFormat: "text", LogLevel: "info", LedgerOut: ledgerPath},
+				Options{LogWriter: &logBuf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.LedgerTorn() != tc.torn {
+				t.Errorf("session LedgerTorn = %v, want %v", s.LedgerTorn(), tc.torn)
+			}
+			if got := strings.Contains(logBuf.String(), "torn"); got != tc.torn {
+				t.Errorf("torn ledger logged = %v, want %v: %q", got, tc.torn, logBuf.String())
+			}
+			s.Ledger.Append(obs.LedgerRecord{Program: "t", ID: "b", Outcome: "ok"})
+			s.Ledger.Append(obs.LedgerRecord{Program: "t", ID: "c", Outcome: "ok"})
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	lf, err := os.Open(ledgerPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lf.Close()
-	recs, torn, err := obs.ReadLedger(lf)
-	if err != nil {
-		t.Fatalf("ledger corrupt after repair+append: %v", err)
-	}
-	if torn {
-		t.Error("ledger still torn after repair")
-	}
-	if len(recs) != 2 || recs[0].ID != "a" || recs[1].ID != "b" {
-		t.Errorf("ledger records = %+v, want a then b", recs)
+			lf, err := os.Open(ledgerPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lf.Close()
+			recs, torn, err := obs.ReadLedger(lf)
+			if err != nil {
+				t.Fatalf("ledger corrupt after repair+append: %v", err)
+			}
+			if torn {
+				t.Error("ledger still torn after repair")
+			}
+			if len(recs) != 3 || recs[0].ID != "a" || recs[1].ID != "b" || recs[2].ID != "c" {
+				t.Errorf("ledger records = %+v, want a, b, c", recs)
+			}
+		})
 	}
 }
 

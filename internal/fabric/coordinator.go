@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"branchscope/internal/campaign"
+	"branchscope/internal/durable"
 	"branchscope/internal/engine"
 )
 
@@ -578,21 +579,21 @@ func (c *Coordinator) dispatch(ctx context.Context, url string, batch []*taskSta
 	sc.Buffer(make([]byte, 64*1024), 32<<20)
 	for sc.Scan() {
 		lease.Reset(c.lease())
-		kind, payload, err := campaign.ParseFrame(sc.Bytes())
+		frame, err := durable.ParseFrame(sc.Bytes())
 		if err != nil {
 			return fmt.Errorf("fabric: worker %s: %w", url, err)
 		}
-		switch kind {
+		switch frame.Kind {
 		case KindLease:
 			// Renewal only; payload names the still-running task.
 		case KindTask:
 			var rec campaign.TaskRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
+			if err := json.Unmarshal(frame.Payload, &rec); err != nil {
 				return fmt.Errorf("fabric: worker %s: bad task record: %w", url, err)
 			}
 			c.settle(rec)
 		default:
-			return fmt.Errorf("fabric: worker %s: unknown frame kind %q", url, kind)
+			return fmt.Errorf("fabric: worker %s: unknown frame kind %q", url, frame.Kind)
 		}
 	}
 	if err := sc.Err(); err != nil {

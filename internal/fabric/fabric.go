@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"branchscope/internal/campaign"
+	"branchscope/internal/durable"
 )
 
 // Schema versions the fabric wire protocol; bump on incompatible
@@ -52,7 +53,7 @@ const Schema = "branchscope.fabric/v1"
 // mounted under the worker's obs HTTP server.
 const RunPath = "/fabric/run"
 
-// Wire frame kinds carried by campaign.Frame/ParseFrame on top of the
+// Wire frame kinds carried by durable.Frame/ParseFrame on top of the
 // journal's "task" records.
 const (
 	// KindTask frames one finished campaign.TaskRecord.
@@ -113,5 +114,5 @@ func configJSON(cfg map[string]any) (string, error) {
 
 // frameRecord renders one task-record wire line.
 func frameRecord(rec campaign.TaskRecord) ([]byte, error) {
-	return campaign.Frame(KindTask, rec)
+	return durable.Frame(KindTask, rec)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"branchscope/internal/campaign"
+	"branchscope/internal/durable"
 	"branchscope/internal/engine"
 )
 
@@ -178,7 +179,7 @@ func (wk *Worker) heartbeat(sw *streamWriter, taskID string, lease time.Duration
 			case <-done:
 				return
 			case <-tick.C:
-				line, err := campaign.Frame(KindLease, Heartbeat{Task: taskID})
+				line, err := durable.Frame(KindLease, Heartbeat{Task: taskID})
 				if err != nil {
 					return
 				}

@@ -1,17 +1,15 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 
+	"branchscope/internal/durable"
 	"branchscope/internal/telemetry"
 )
 
@@ -121,39 +119,29 @@ func (l *Ledger) Append(rec LedgerRecord) error {
 }
 
 // ReadLedger parses a branchscope.ledger/v1 JSONL stream. A ledger is
-// an append-only crash-safety artifact: a process killed mid-append
-// leaves a truncated final line behind, and that must not cost the
-// reader every record before it. A malformed line is therefore
-// tolerated — and reported via torn — if and only if nothing but blank
-// lines follows it; a malformed line in the middle of the stream is
-// real corruption and fails the parse.
+// an append-only crash-safety artifact, read under durable.Lines'
+// torn-tail rule: a process killed mid-append leaves a truncated final
+// line behind, which is dropped and reported via torn rather than
+// costing the reader every record before it; a malformed line in the
+// middle of the stream is real corruption and fails the parse.
 func ReadLedger(r io.Reader) (recs []LedgerRecord, torn bool, err error) {
-	sc := bufio.NewScanner(r)
-	// Records embed full metrics snapshots; lines run far past the
-	// default 64 KiB token limit.
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var pending error // a bad line, fatal only if more content follows
-	line := 0
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		if pending != nil {
-			return nil, false, pending
-		}
-		var rec LedgerRecord
-		if uerr := json.Unmarshal(b, &rec); uerr != nil {
-			pending = fmt.Errorf("obs: ledger line %d: %w", line, uerr)
-			continue
-		}
-		recs = append(recs, rec)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, false, fmt.Errorf("obs: reading ledger: %w", err)
 	}
-	if serr := sc.Err(); serr != nil {
-		return nil, false, fmt.Errorf("obs: reading ledger: %w", serr)
+	recs, torn, err = durable.Lines(data, ParseLedgerRecord)
+	if err != nil {
+		return nil, false, fmt.Errorf("obs: ledger %w", err)
 	}
-	return recs, pending != nil, nil
+	return recs, torn, nil
+}
+
+// ParseLedgerRecord decodes one ledger line: the decoder ReadLedger
+// and a session's durable.Heal of its ledger use.
+func ParseLedgerRecord(line []byte) (LedgerRecord, error) {
+	var rec LedgerRecord
+	err := json.Unmarshal(line, &rec)
+	return rec, err
 }
 
 // DeltaRecorder attributes registry deltas to tasks: Begin snapshots
@@ -230,34 +218,4 @@ func LeakageFields(delta *telemetry.Snapshot) map[string]float64 {
 		out[strings.TrimPrefix(g.Name, prefix)] = g.Value
 	}
 	return out
-}
-
-// RepairLedgerTail heals a ledger about to be reopened for append: a
-// process killed mid-append leaves a truncated final line, which
-// ReadLedger tolerates only while it stays final — the next append
-// would bury it mid-file and turn it into hard corruption. Repair
-// truncates the torn line off before that happens. Returns whether a
-// torn record was dropped. A missing file is fine (nothing to repair);
-// corruption *before* the final line is an error, not repairable.
-func RepairLedgerTail(path string) (torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, fmt.Errorf("obs: repairing ledger: %w", err)
-	}
-	if _, torn, err = ReadLedger(bytes.NewReader(data)); err != nil {
-		return false, err
-	}
-	if !torn {
-		return false, nil
-	}
-	// Truncate at the start of the last non-blank line.
-	trimmed := bytes.TrimRight(data, " \t\r\n")
-	cut := bytes.LastIndexByte(trimmed, '\n') + 1 // 0 when it is the only line
-	if err := os.Truncate(path, int64(cut)); err != nil {
-		return false, fmt.Errorf("obs: repairing ledger: %w", err)
-	}
-	return true, nil
 }

@@ -125,8 +125,8 @@ type Status struct {
 	Histograms []HistogramStatus `json:"histograms,omitempty"`
 	// LedgerTorn reports that the session found — and truncated — a torn
 	// final record in a pre-existing ledger it reopened for append (see
-	// RepairLedgerTail). Surfaced here so the data loss is visible
-	// instead of silent.
+	// durable.Heal). Surfaced here so the data loss is visible instead
+	// of silent.
 	LedgerTorn bool `json:"ledger_torn,omitempty"`
 	// Service carries the campaign job service's occupancy and
 	// admission-control state when the process runs one; filled by the

@@ -9,7 +9,7 @@ import (
 	"sort"
 	"sync"
 
-	"branchscope/internal/campaign"
+	"branchscope/internal/durable"
 )
 
 // kindPolicy fixes each artifact kind's archived name, whether its
@@ -188,14 +188,14 @@ func (a *Archiver) Write() (string, error) {
 }
 
 // writeManifestAtomic publishes the manifest via temp-file+rename
-// (campaign.WriteAtomic), so a run directory either has a complete
+// (durable.WriteAtomic), so a run directory either has a complete
 // manifest or none.
 func writeManifestAtomic(path string, m Manifest) error {
 	var buf bytes.Buffer
 	if err := WriteManifest(&buf, m); err != nil {
 		return err
 	}
-	if err := campaign.WriteAtomic(path, buf.Bytes()); err != nil {
+	if err := durable.WriteAtomic(path, buf.Bytes()); err != nil {
 		return fmt.Errorf("runstore: publishing manifest: %w", err)
 	}
 	return nil

@@ -1,13 +1,11 @@
 package svc
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
-	"branchscope/internal/campaign"
+	"branchscope/internal/durable"
 )
 
 // JournalSchema versions the service journal; bump on incompatible
@@ -15,7 +13,7 @@ import (
 const JournalSchema = "branchscope.svc/v1"
 
 // The service journal reuses the campaign journal's CRC-framed JSONL
-// lines (campaign.Frame/ParseFrame) with its own kinds:
+// lines (durable.Frame/ParseFrame) with its own kinds:
 //
 //	{"sum":"crc32:...","svc":{"schema":"branchscope.svc/v1"}}  (header)
 //	{"sum":"crc32:...","job":{...jobRecord...}}                (submit)
@@ -23,8 +21,8 @@ const JournalSchema = "branchscope.svc/v1"
 //	{"sum":"crc32:...","done":{"id":...,"state":...,"reason":...}}
 //
 // Like the campaign journal it is fsynced per append
-// (campaign.Appender), torn-tail tolerant, and created atomically
-// (campaign.WriteAtomic) — the restart-recovery contract (queued jobs
+// (durable.Appender), torn-tail tolerant, and created atomically
+// (durable.Create) — the restart-recovery contract (queued jobs
 // resume, running jobs settle failed with a reason) depends on the
 // submit record being durable before the client sees its 201.
 const (
@@ -62,137 +60,79 @@ type recoveredJob struct {
 }
 
 // openJournal opens (creating if absent) the service journal and
-// replays it: every intact record is returned in submit order, a torn
-// final line is dropped, and the surviving content is compacted back
-// to disk so the reopened file is clean before new appends land. The
-// returned appender frames and fsyncs each later record.
-func openJournal(path string) (*campaign.Appender, []recoveredJob, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		line, ferr := campaign.Frame(kindHeader, svcHeader{Schema: JournalSchema})
-		if ferr != nil {
-			return nil, nil, fmt.Errorf("svc: encoding journal header: %w", ferr)
-		}
-		if werr := campaign.WriteAtomic(path, line); werr != nil {
-			return nil, nil, fmt.Errorf("svc: creating journal: %w", werr)
-		}
-		j, oerr := campaign.OpenAppender(path)
-		return j, nil, oerr
-	}
+// replays it: every intact record is returned in submit order. The
+// file is healed in place (durable.Heal) — a torn final line is
+// truncated, an unterminated one ended — and appended to; a header is
+// written only when the file is missing or empty. The returned
+// appender frames and fsyncs each later record.
+func openJournal(path string) (*durable.Appender, []recoveredJob, error) {
+	recs, _, err := durable.Heal(path, durable.ParseFrame)
 	if err != nil {
-		return nil, nil, fmt.Errorf("svc: reading journal: %w", err)
+		return nil, nil, fmt.Errorf("svc: journal %w", err)
 	}
-
-	jobs, err := replayJournal(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Compact: rewrite the surviving intact lines atomically, dropping
-	// a torn tail before new appends could bury it mid-file.
-	var buf bytes.Buffer
-	line, err := campaign.Frame(kindHeader, svcHeader{Schema: JournalSchema})
-	if err != nil {
-		return nil, nil, fmt.Errorf("svc: re-encoding journal header: %w", err)
-	}
-	buf.Write(line)
-	for _, rj := range jobs {
-		if err := appendFrames(&buf, rj); err != nil {
+	if len(recs) > 0 {
+		jobs, err := replayJournal(recs)
+		if err != nil {
 			return nil, nil, err
 		}
+		app, err := durable.OpenAppender(path)
+		return app, jobs, err
 	}
-	if err := campaign.WriteAtomic(path, buf.Bytes()); err != nil {
-		return nil, nil, fmt.Errorf("svc: compacting journal: %w", err)
-	}
-	j, err := campaign.OpenAppender(path)
-	return j, jobs, err
-}
-
-// appendFrames re-frames one recovered job's surviving records.
-func appendFrames(buf *bytes.Buffer, rj recoveredJob) error {
-	line, err := campaign.Frame(kindJob, rj.rec)
+	line, err := durable.Frame(kindHeader, svcHeader{Schema: JournalSchema})
 	if err != nil {
-		return fmt.Errorf("svc: re-encoding job %s: %w", rj.rec.ID, err)
+		return nil, nil, fmt.Errorf("svc: encoding journal header: %w", err)
 	}
-	buf.Write(line)
-	if rj.started {
-		line, err = campaign.Frame(kindStart, markRecord{ID: rj.rec.ID})
-		if err != nil {
-			return fmt.Errorf("svc: re-encoding start %s: %w", rj.rec.ID, err)
-		}
-		buf.Write(line)
+	app, err := durable.Create(path, line)
+	if err != nil {
+		return nil, nil, fmt.Errorf("svc: creating journal: %w", err)
 	}
-	if rj.state != "" {
-		line, err = campaign.Frame(kindDone, markRecord{ID: rj.rec.ID, State: rj.state, Reason: rj.reason})
-		if err != nil {
-			return fmt.Errorf("svc: re-encoding done %s: %w", rj.rec.ID, err)
-		}
-		buf.Write(line)
-	}
-	return nil
+	return app, nil, nil
 }
 
-// replayJournal folds the journal lines into per-job recovery state.
-// A torn final line is dropped; a corrupt line anywhere earlier is
-// real damage and fails the load, matching campaign.Load.
-func replayJournal(data []byte) ([]recoveredJob, error) {
+// replayJournal folds the journal's records, as durable.Heal read
+// them, into per-job recovery state. The first record must be the
+// header, like campaign.Load's.
+func replayJournal(recs []durable.Record) ([]recoveredJob, error) {
+	if recs[0].Kind != kindHeader {
+		return nil, errors.New("svc: journal has no header")
+	}
+	var h svcHeader
+	if err := json.Unmarshal(recs[0].Payload, &h); err != nil {
+		return nil, fmt.Errorf("svc: bad journal header: %w", err)
+	}
+	if h.Schema != JournalSchema {
+		return nil, fmt.Errorf("svc: journal schema %q, want %q", h.Schema, JournalSchema)
+	}
 	var jobs []recoveredJob
 	// Index by position: jobs keeps growing, so a pointer into it would
 	// go stale when a later submit reallocates the slice.
 	byID := map[string]int{}
-	var pending error
-	sawHeader := false
-	for i, raw := range bytes.Split(data, []byte("\n")) {
-		line := bytes.TrimSpace(raw)
-		if len(line) == 0 {
-			continue
-		}
-		if pending != nil {
-			return nil, pending
-		}
-		kind, payload, err := campaign.ParseFrame(line)
-		if err != nil {
-			pending = fmt.Errorf("svc: journal line %d: %w", i+1, err)
-			continue
-		}
-		switch kind {
-		case kindHeader:
-			var h svcHeader
-			if err := json.Unmarshal(payload, &h); err != nil {
-				return nil, fmt.Errorf("svc: journal line %d: bad header: %w", i+1, err)
-			}
-			if h.Schema != JournalSchema {
-				return nil, fmt.Errorf("svc: journal schema %q, want %q", h.Schema, JournalSchema)
-			}
-			sawHeader = true
+	for i, r := range recs[1:] {
+		switch r.Kind {
 		case kindJob:
 			var rec jobRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, fmt.Errorf("svc: journal line %d: bad job record: %w", i+1, err)
+			if err := json.Unmarshal(r.Payload, &rec); err != nil {
+				return nil, fmt.Errorf("svc: journal record %d: bad job record: %w", i+2, err)
 			}
 			byID[rec.ID] = len(jobs)
 			jobs = append(jobs, recoveredJob{rec: rec})
-		case kindStart:
+		case kindStart, kindDone:
 			var m markRecord
-			if err := json.Unmarshal(payload, &m); err != nil {
-				return nil, fmt.Errorf("svc: journal line %d: bad start record: %w", i+1, err)
+			if err := json.Unmarshal(r.Payload, &m); err != nil {
+				return nil, fmt.Errorf("svc: journal record %d: bad %s record: %w", i+2, r.Kind, err)
 			}
-			if i, ok := byID[m.ID]; ok {
-				jobs[i].started = true
+			j, ok := byID[m.ID]
+			if !ok {
+				continue
 			}
-		case kindDone:
-			var m markRecord
-			if err := json.Unmarshal(payload, &m); err != nil {
-				return nil, fmt.Errorf("svc: journal line %d: bad done record: %w", i+1, err)
-			}
-			if i, ok := byID[m.ID]; ok {
-				jobs[i].state, jobs[i].reason = m.State, m.Reason
+			if r.Kind == kindStart {
+				jobs[j].started = true
+			} else {
+				jobs[j].state, jobs[j].reason = m.State, m.Reason
 			}
 		default:
-			return nil, fmt.Errorf("svc: journal line %d: unknown kind %q", i+1, kind)
+			return nil, fmt.Errorf("svc: journal record %d: unexpected kind %q", i+2, r.Kind)
 		}
-	}
-	if !sawHeader && len(data) > 0 && pending == nil {
-		return nil, errors.New("svc: journal has no header")
 	}
 	return jobs, nil
 }

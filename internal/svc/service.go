@@ -13,6 +13,7 @@ import (
 
 	"branchscope/internal/campaign"
 	"branchscope/internal/cliutil"
+	"branchscope/internal/durable"
 	"branchscope/internal/engine"
 	"branchscope/internal/experiments"
 	"branchscope/internal/obs"
@@ -210,7 +211,7 @@ type Service struct {
 	archiveDir string
 	limits     Limits
 	log        *slog.Logger
-	jnl        *campaign.Appender
+	jnl        *durable.Appender
 
 	mu           sync.Mutex
 	jobs         map[string]*job

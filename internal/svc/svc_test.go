@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"branchscope/internal/campaign"
+	"branchscope/internal/durable"
 	"branchscope/internal/engine"
 	"branchscope/internal/experiments"
 	"branchscope/internal/obs"
@@ -443,13 +443,17 @@ func TestJournalReplayInterleavedRecords(t *testing.T) {
 		{kindDone, markRecord{ID: "job-000001", State: StateDone}},
 		{kindStart, markRecord{ID: "job-000002"}},
 	} {
-		line, err := campaign.Frame(rec.kind, rec.payload)
+		line, err := durable.Frame(rec.kind, rec.payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		data = append(data, line...)
 	}
-	jobs, err := replayJournal(data)
+	recs, _, err := durable.Lines(data, durable.ParseFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := replayJournal(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +469,9 @@ func TestJournalReplayInterleavedRecords(t *testing.T) {
 }
 
 // TestJournalToleratesTornTail: a torn final line (crash mid-append) is
-// dropped on replay; the journaled jobs before it survive.
+// dropped on replay; the journaled jobs before it survive. The restart
+// heals the journal in place, so a job submitted after it survives the
+// next restart too.
 func TestJournalToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "svc.journal")
@@ -490,9 +496,26 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	f.WriteString(`{"torn`) // no newline, no CRC
 	f.Close()
 
-	s2 := startService(t, Config{Program: "experiments", Tasks: testRegistry(nil), JournalPath: journal})
+	s2 := New()
+	if err := s2.Start(Config{Program: "experiments", Tasks: testRegistry(nil), JournalPath: journal}); err != nil {
+		t.Fatal(err)
+	}
 	if got, err := s2.Get(st.ID); err != nil || got.State != StateDone {
 		t.Errorf("after torn tail: state %q err %v, want done", got.State, err)
+	}
+	st2, err := s2.Submit(Spec{Schema: SpecSchema, Tenant: "alice", Tasks: []string{"beta"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s2, st2.ID, StateDone)
+	s2.Drain(ctx)
+	s2.Close()
+
+	s3 := startService(t, Config{Program: "experiments", Tasks: testRegistry(nil), JournalPath: journal})
+	for _, id := range []string{st.ID, st2.ID} {
+		if got, err := s3.Get(id); err != nil || got.State != StateDone {
+			t.Errorf("after second restart: job %s state %q err %v, want done", id, got.State, err)
+		}
 	}
 }
 
