@@ -84,7 +84,8 @@ func TestPublicAPIEnclave(t *testing.T) {
 		ctx.Branch(0x100, true)
 		ran = true
 	})
-	e.Run()
+	for e.StepBranches(1) {
+	}
 	if !ran {
 		t.Error("enclave did not run")
 	}

@@ -42,8 +42,8 @@
 // slowdown — to every covert measurement; -chaos-seed reseeds the
 // fault schedule independently of -seed. -retry N switches the spy to
 // the resilient read loop (per-bit majority voting, outlier rejection,
-// Unknown on exhaustion) and also grants transiently-failed tasks up
-// to N attempts with derived per-attempt seeds. Chaos is part of the
+// Unknown on exhaustion) and also grants timed-out tasks up to N
+// attempts with derived per-attempt seeds. Chaos is part of the
 // determinism contract: same seed, plan, and flags give byte-identical
 // stdout at any -parallel.
 //

@@ -12,6 +12,7 @@ package branchscope_test
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"testing"
 
@@ -72,8 +73,21 @@ func (m *legacyMachine) icacheAccess(domain, addr uint64) uint64 {
 	return m.timing.ICacheMissMin + m.rnd.Uint64n(span+1)
 }
 
+// polarNorm draws a standard normal variate with the polar (Marsaglia)
+// method, the pre-refactor jitter sampler.
+func polarNorm(r *rng.Source) float64 {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		q := u*u + v*v
+		if q > 0 && q < 1 {
+			return u * math.Sqrt(-2*math.Log(q)/q)
+		}
+	}
+}
+
 func (m *legacyMachine) jitter() uint64 {
-	n := m.rnd.NormFloat64() * m.timing.JitterSigma
+	n := polarNorm(m.rnd) * m.timing.JitterSigma
 	if n < 0 {
 		n = -n
 	}
@@ -102,6 +116,27 @@ func (m *legacyMachine) branch(domain, addr uint64, taken bool) {
 	m.clock += cost
 	m.pmc[0]++
 	m.pmc[1]++
+}
+
+// TestNormFloat64Moments checks the legacy replica's polar sampler
+// draws a standard normal.
+func TestNormFloat64Moments(t *testing.T) {
+	r := rng.New(6)
+	const n = 50000
+	var sum, sum2 float64
+	for i := 0; i < n; i++ {
+		x := polarNorm(r)
+		sum += x
+		sum2 += x * x
+	}
+	mean := sum / n
+	variance := sum2/n - mean*mean
+	if math.Abs(mean) > 0.03 {
+		t.Errorf("normal mean = %v", mean)
+	}
+	if math.Abs(variance-1) > 0.05 {
+		t.Errorf("normal variance = %v", variance)
+	}
 }
 
 // hotpathAddr returns the i-th branch address of the working set.

@@ -1,8 +1,6 @@
 package attacks
 
 import (
-	"fmt"
-
 	"branchscope/internal/core"
 	"branchscope/internal/cpu"
 	"branchscope/internal/stats"
@@ -68,9 +66,6 @@ func NewBTBSpy(spy *cpu.Context, victimAddr uint64, btbSets int, calibrationReps
 	return b
 }
 
-// Threshold returns the calibrated decision boundary in cycles.
-func (b *BTBSpy) Threshold() uint64 { return b.threshold }
-
 // train installs the spy branch: direction strongly taken and BTB entry
 // present.
 func (b *BTBSpy) train() {
@@ -92,10 +87,4 @@ func (b *BTBSpy) SpyBit(victim core.Stepper) bool {
 	b.spy.Branch(b.aliasAddr, true)
 	lat := b.spy.ReadTSC() - t0
 	return lat > b.threshold
-}
-
-// String implements fmt.Stringer.
-func (b *BTBSpy) String() string {
-	return fmt.Sprintf("btb spy: alias %#x, threshold %d cycles, flush-defense=%v",
-		b.aliasAddr, b.threshold, b.FlushDefense)
 }

@@ -24,7 +24,6 @@ import (
 // Poisoner forces the predicted direction of a victim branch.
 type Poisoner struct {
 	spy     *cpu.Context
-	target  uint64
 	toTaken *core.Block // leaves the entry in ST
 	toNot   *core.Block // leaves the entry in SN
 }
@@ -40,7 +39,7 @@ func NewPoisoner(spy *cpu.Context, r *rng.Source, target uint64) (*Poisoner, err
 	if err != nil {
 		return nil, fmt.Errorf("attacks: poisoner ST search: %w", err)
 	}
-	return &Poisoner{spy: spy, target: target, toTaken: toTaken, toNot: toNot}, nil
+	return &Poisoner{spy: spy, toTaken: toTaken, toNot: toNot}, nil
 }
 
 // Poison primes the target entry so the victim's next execution is
@@ -53,13 +52,4 @@ func (p *Poisoner) Poison(predictTaken bool) {
 	} else {
 		p.toNot.Run(p.spy)
 	}
-}
-
-// Target returns the poisoned branch address.
-func (p *Poisoner) Target() uint64 { return p.target }
-
-// String implements fmt.Stringer.
-func (p *Poisoner) String() string {
-	return fmt.Sprintf("poisoner for %#x (blocks: %d/%d branches)",
-		p.target, p.toTaken.Len(), p.toNot.Len())
 }

@@ -280,9 +280,6 @@ func (u *Unit) heatSet(idx int32) int {
 	return int(idx) * len(u.heat) / u.cfg.PHTSize
 }
 
-// Config returns the unit's configuration.
-func (u *Unit) Config() Config { return u.cfg }
-
 // MarkSensitive registers [lo, hi) as a software-marked sensitive code
 // range for MitigationNoPredictSensitive. Ranges accumulate. Marking a
 // range invalidates every cached Site (epoch bump) so batched plans
@@ -291,9 +288,6 @@ func (u *Unit) MarkSensitive(lo, hi uint64) {
 	u.cfg.sensitiveRanges = append(u.cfg.sensitiveRanges, addrRange{lo, hi})
 	u.epoch++
 }
-
-// Epoch returns the current index-layout version; see Site.
-func (u *Unit) Epoch() uint32 { return u.epoch }
 
 func (u *Unit) sensitive(addr uint64) bool {
 	if u.cfg.Mitigation != MitigationNoPredictSensitive {
@@ -368,22 +362,6 @@ func (u *Unit) tagIndex(domain, addr uint64) int {
 		return int(domain%n)*per + int(addr%uint64(per))
 	}
 	return int(addr % uint64(u.cfg.TagEntries))
-}
-
-// Lookup is a read-only prediction for one branch instance; see Predict.
-type Lookup struct {
-	// Taken is the predicted direction.
-	Taken bool
-	// BTBHit reports whether the BTB held a target for this branch.
-	BTBHit bool
-	// Target is the predicted target when BTBHit.
-	Target uint64
-	// UsedGshare reports whether the 2-level component supplied the
-	// direction (false means 1-level or static).
-	UsedGshare bool
-	// Static reports that the branch is statically predicted
-	// (sensitive range or StaticOnly mode) and will not update state.
-	Static bool
 }
 
 // Site is the resolved indexing state of one static branch site for one
@@ -470,35 +448,6 @@ func (u *Unit) choose(s *Site) (gIdx int32, tagHit, useGshare bool) {
 		useGshare = tagHit && u.selector[s.selIdx] >= selectorThreshold
 	}
 	return gIdx, tagHit, useGshare
-}
-
-// Predict reports how the unit would predict the branch at addr
-// executed by the given security domain (hardware contexts in the same
-// process share a domain; the mitigations key on it), without changing
-// any state. It is a query; branches execute through Exec.
-func (u *Unit) Predict(domain, addr uint64) Lookup {
-	s := u.Resolve(domain, addr)
-	var l Lookup
-	l.BTBHit, l.Target = u.btbLookupAt(s.btbIdx, addr)
-	if s.static {
-		l.Static = true
-		return l
-	}
-	gIdx, _, useGshare := u.choose(&s)
-	idx := s.bimodalIdx
-	if useGshare {
-		idx = gIdx
-	}
-	l.Taken, l.UsedGshare = u.phtPred[u.phtEntries[idx]], useGshare
-	return l
-}
-
-func (u *Unit) btbLookupAt(idx int32, addr uint64) (bool, uint64) {
-	e := u.btb[idx]
-	if e.valid && e.addr == addr {
-		return true, e.target
-	}
-	return false, 0
 }
 
 // Exec executes one instance of the branch at s, with its actual
@@ -615,28 +564,6 @@ func (u *Unit) FlushBTB() {
 	for i := range u.btb {
 		u.btb[i] = btbEntry{}
 	}
-}
-
-// GHR returns the current global history register value. Inspection hook
-// for tests.
-func (u *Unit) GHR() uint64 { return u.ghr }
-
-// PHT exposes the pattern history table for white-box tests and the
-// ground-truth checks of the experiment harness. Attack code must not use
-// it.
-func (u *Unit) PHT() *pht.Table { return u.pht }
-
-// TagLive reports whether the seen-branch tracker currently holds addr.
-// Inspection hook for tests.
-func (u *Unit) TagLive(domain, addr uint64) bool {
-	e := u.tags[u.tagIndex(domain, addr)]
-	return e.valid && e.addr == addr
-}
-
-// SelectorValue returns the selector counter governing addr. Inspection
-// hook for tests.
-func (u *Unit) SelectorValue(addr uint64) uint8 {
-	return u.selector[addr%uint64(u.cfg.SelectorSize)]
 }
 
 // Snapshot captures the complete unit state for checkpoint/replay (used

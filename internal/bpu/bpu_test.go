@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"branchscope/internal/fsm"
-	"branchscope/internal/pht"
 )
 
 // execAt executes one branch at addr in domain through a freshly
@@ -13,11 +12,6 @@ import (
 func execAt(u *Unit, domain, addr uint64, taken bool, target uint64) (predicted, btbHit, allocated bool) {
 	s := u.Resolve(domain, addr)
 	return u.Exec(&s, taken, target)
-}
-
-// btbLookup reports whether the BTB holds a target for addr.
-func (u *Unit) btbLookup(addr uint64) (bool, uint64) {
-	return u.btbLookupAt(int32(pht.IndexMod(addr, u.cfg.BTBEntries)), addr)
 }
 
 func testConfig() Config {
@@ -211,7 +205,7 @@ func TestGHRShifts(t *testing.T) {
 	for _, taken := range []bool{true, false, true, true} {
 		execAt(u, 0, 0x10, taken, 0)
 	}
-	if got := u.GHR(); got != 0b1011 {
+	if got := u.ghr; got != 0b1011 {
 		t.Errorf("GHR = %#b, want 0b1011", got)
 	}
 }
@@ -223,7 +217,7 @@ func TestGHRMasked(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		execAt(u, 0, 0x10, true, 0)
 	}
-	if got := u.GHR(); got != 0b111 {
+	if got := u.ghr; got != 0b111 {
 		t.Errorf("GHR = %#b, want 0b111 (3-bit mask)", got)
 	}
 }
@@ -232,7 +226,7 @@ func TestReset(t *testing.T) {
 	u := New(testConfig())
 	execAt(u, 0, 0x10, true, 0x20)
 	u.Reset()
-	if u.GHR() != 0 || u.TagLive(0, 0x10) {
+	if u.ghr != 0 || u.TagLive(0, 0x10) {
 		t.Error("Reset left state behind")
 	}
 	if hit, _ := u.btbLookup(0x10); hit {
@@ -303,12 +297,12 @@ func TestSnapshotRestore(t *testing.T) {
 		execAt(u, 0, uint64(i*3), i%3 == 0, uint64(i))
 	}
 	snap := u.Snapshot()
-	ghr := u.GHR()
+	ghr := u.ghr
 	for i := 0; i < 50; i++ {
 		execAt(u, 0, uint64(i*5), i%2 == 0, 0)
 	}
 	u.Restore(snap)
-	if u.GHR() != ghr {
+	if u.ghr != ghr {
 		t.Error("GHR not restored")
 	}
 	// Behavioural check: predictions after restore match predictions

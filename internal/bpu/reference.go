@@ -154,6 +154,23 @@ func (u *ReferenceUnit) phtUpdate(idx int32, taken bool) {
 	u.entries[idx] = u.spec.ReferenceNext(u.entries[idx], taken)
 }
 
+// Lookup is a read-only prediction for one branch instance, as the
+// reference predictor reports it.
+type Lookup struct {
+	// Taken is the predicted direction.
+	Taken bool
+	// BTBHit reports whether the BTB held a target for this branch.
+	BTBHit bool
+	// Target is the predicted target when BTBHit.
+	Target uint64
+	// UsedGshare reports whether the 2-level component supplied the
+	// direction (false means 1-level or static).
+	UsedGshare bool
+	// Static reports that the branch is statically predicted
+	// (sensitive range or StaticOnly mode) and will not update state.
+	Static bool
+}
+
 // ReferenceLookup is the reference unit's prediction record: the
 // predicted Lookup plus the component indexes that produced it, so
 // Commit updates exactly that state.

@@ -131,8 +131,8 @@ func TestInjectorScheduleDeterministic(t *testing.T) {
 			t.Fatalf("same plan diverged at observation %d: %d vs %d", i, a[i], b[i])
 		}
 	}
-	if inj1.Episodes() != 400 {
-		t.Errorf("Episodes() = %d, want 400", inj1.Episodes())
+	if inj1.episode != 400 {
+		t.Errorf("episodes seen = %d, want 400", inj1.episode)
 	}
 	// A reseeded plan yields a different schedule (the seeds here are
 	// fixed, so this is a deterministic assertion, not a probabilistic

@@ -118,12 +118,6 @@ func NewInjector(sys *sched.System, plan Plan) *Injector {
 // further faults fire.
 func (i *Injector) Detach() { i.core.SetReadFaults(cpu.ReadFaults{}) }
 
-// Plan returns the plan the injector realizes.
-func (i *Injector) Plan() Plan { return i.plan }
-
-// Episodes returns how many episode boundaries the injector has seen.
-func (i *Injector) Episodes() uint64 { return i.episode }
-
 // SelfClock makes the injector synthesize an episode boundary every
 // readsPerEpisode counter reads, for harnesses that never call
 // BeforeStep (the phtmap mapper probes in a flat loop). Pass 0 to

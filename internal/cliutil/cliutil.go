@@ -117,7 +117,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
 	fs.StringVar(&f.Chaos, "chaos", "", "deterministic fault injection: off, light, moderate, heavy, a bare intensity multiplier, or a chaos plan JSON object")
 	fs.Uint64Var(&f.ChaosSeed, "chaos-seed", 0, "seed for the chaos plan's fault schedule (0 = derive from -seed)")
-	fs.IntVar(&f.Retry, "retry", 0, "per-bit attempt budget for the resilient attack loop; also retries transiently-failed tasks (0 = the paper's naive single-episode read)")
+	fs.IntVar(&f.Retry, "retry", 0, "per-bit attempt budget for the resilient attack loop; also retries timed-out tasks (0 = the paper's naive single-episode read)")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "", "journal per-task outcomes to this crash-safe branchscope.campaign/v1 file as they complete (enables -resume)")
 	fs.BoolVar(&f.Resume, "resume", false, "resume an interrupted campaign from the -checkpoint journal: replay completed tasks, re-run the rest with the same derived seeds")
 	fs.DurationVar(&f.Watchdog, "watchdog", 0, "soft per-task deadline: tasks running past it are marked stuck in /statusz and logs but keep running (0 = off)")
@@ -354,9 +354,8 @@ func (f Flags) Overrides(plan *chaos.Plan, tel *telemetry.Set) *experiments.Over
 }
 
 // RetryPolicy resolves -retry into the engine's task-level policy: the
-// same budget applied to transiently-failed tasks (timeouts,
-// explicitly Transient errors), with capped simulated backoff recorded
-// in the report. The zero flag yields the zero policy (one attempt).
+// same budget applied to tasks whose attempt timed out, with capped
+// simulated backoff recorded in the report. The zero flag yields the zero policy (one attempt).
 func (f Flags) RetryPolicy() engine.RetryPolicy {
 	if f.Retry <= 0 {
 		return engine.RetryPolicy{}
@@ -595,10 +594,6 @@ func (s *Session) RunID() string {
 	}
 	return *p
 }
-
-// LedgerTorn reports whether the session truncated a torn final record
-// off the reopened ledger.
-func (s *Session) LedgerTorn() bool { return s != nil && s.ledgerTorn }
 
 // SetArchiver attaches the run archiver the session writes at Close,
 // and schedules every session-owned sink file — and the campaign

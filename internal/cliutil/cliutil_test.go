@@ -444,8 +444,8 @@ func TestSessionRepairsTornLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.LedgerTorn() != tc.torn {
-				t.Errorf("session LedgerTorn = %v, want %v", s.LedgerTorn(), tc.torn)
+			if s.ledgerTorn != tc.torn {
+				t.Errorf("session ledgerTorn = %v, want %v", s.ledgerTorn, tc.torn)
 			}
 			if got := strings.Contains(logBuf.String(), "torn"); got != tc.torn {
 				t.Errorf("torn ledger logged = %v, want %v: %q", got, tc.torn, logBuf.String())

@@ -261,9 +261,6 @@ func NewMultiSession(spy *cpu.Context, r *rng.Source, cfg MultiConfig) (*MultiSe
 		len(cfg.Targets), cfg.MaxCandidates)
 }
 
-// Block returns the selected randomization block.
-func (m *MultiSession) Block() *Block { return m.block }
-
 // Targets returns the per-target decode contexts.
 func (m *MultiSession) Targets() []MultiTarget { return m.targets }
 

@@ -31,21 +31,6 @@ func MakePattern(firstMiss, secondMiss bool) Pattern {
 	return PatternHH
 }
 
-// Valid reports whether p is one of the four legal patterns.
-func (p Pattern) Valid() bool {
-	switch p {
-	case PatternHH, PatternHM, PatternMH, PatternMM:
-		return true
-	}
-	return false
-}
-
-// FirstMiss reports whether the first probe execution mispredicted.
-func (p Pattern) FirstMiss() bool { return len(p) == 2 && p[0] == 'M' }
-
-// SecondMiss reports whether the second probe execution mispredicted.
-func (p Pattern) SecondMiss() bool { return len(p) == 2 && p[1] == 'M' }
-
 // StateClass is the architecturally inferred state of a PHT entry, as
 // decoded from probe observations (§6.2, Figure 4b). Beyond the four FSM
 // states it includes the two non-state outcomes the paper observes:

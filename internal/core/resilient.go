@@ -21,9 +21,6 @@ type RetryConfig struct {
 	// self-checks (timing sessions only). Zero selects
 	// DefaultDriftCheckInterval; negative disables drift checking.
 	DriftCheckInterval int
-	// DriftCheckSamples is how many known-outcome branch pairs one
-	// drift check measures (default DefaultDriftCheckSamples).
-	DriftCheckSamples int
 }
 
 // Drift-check defaults, shared with DESIGN §3.15. The interval trades
@@ -34,7 +31,9 @@ type RetryConfig struct {
 // single prime–step–probe episode.
 const (
 	DefaultDriftCheckInterval = 16
-	DefaultDriftCheckSamples  = 8
+	// driftCheckSamples is how many known-outcome branch pairs one
+	// drift check measures.
+	driftCheckSamples = 8
 )
 
 // Reading is the outcome of one resilient bit read. Confidence is the
@@ -170,12 +169,8 @@ func (s *Session) maybeDriftCheck() {
 // the current detector misclassifies more than a quarter of them —
 // far beyond its calibrated error on a stable machine.
 func (s *Session) driftDetected() bool {
-	n := s.cfg.Retry.DriftCheckSamples
-	if n <= 0 {
-		n = DefaultDriftCheckSamples
-	}
 	wrong := 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < driftCheckSamples; i++ {
 		addr := s.calCursor
 		s.calCursor += 64
 		rb := s.spy.ResolveBranch(addr)
@@ -198,5 +193,5 @@ func (s *Session) driftDetected() bool {
 	if s.tel != nil {
 		s.tel.driftChecks.Inc()
 	}
-	return wrong*2 > n // > 25% of the 2n classifications
+	return wrong*2 > driftCheckSamples // > 25% of the 2n classifications
 }

@@ -69,7 +69,6 @@ type Session struct {
 	spy      *cpu.Context
 	cfg      AttackConfig
 	block    *Block
-	analysis BlockAnalysis
 	detector *TimingDetector
 	tel      *sessionTel
 
@@ -190,11 +189,11 @@ func NewSession(spy *cpu.Context, r *rng.Source, cfg AttackConfig) (*Session, er
 	}
 	cfg.Search = cfg.Search.withDefaults()
 	cfg.Degrade = cfg.Degrade.withDefaults()
-	block, analysis, err := FindBlock(spy, r, cfg.Search, StateSN, cfg.MaxCandidates)
+	block, _, err := FindBlock(spy, r, cfg.Search, StateSN, cfg.MaxCandidates)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{spy: spy, cfg: cfg, block: block, analysis: analysis}
+	s := &Session{spy: spy, cfg: cfg, block: block}
 	s.probeRB = spy.ResolveBranch(cfg.Search.TargetAddr)
 	if set := spy.Core().Telemetry(); set != nil {
 		s.tel = newSessionTel(set, spy)
@@ -219,14 +218,8 @@ func NewSession(spy *cpu.Context, r *rng.Source, cfg AttackConfig) (*Session, er
 // Block returns the selected randomization block.
 func (s *Session) Block() *Block { return s.block }
 
-// Analysis returns the pre-attack characterization of the block.
-func (s *Session) Analysis() BlockAnalysis { return s.analysis }
-
 // Detector returns the calibrated timing detector (nil unless UseTiming).
 func (s *Session) Detector() *TimingDetector { return s.detector }
-
-// Spy returns the attacker's hardware context.
-func (s *Session) Spy() *cpu.Context { return s.spy }
 
 // Prime executes attack stage 1: run the randomization block, forcing
 // 1-level prediction for the target branch and leaving its PHT entry in

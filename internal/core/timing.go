@@ -23,12 +23,6 @@ func (d *TimingDetector) Miss(latency uint64) bool {
 	return latency > d.Threshold
 }
 
-// MissMeanOf classifies the mean of several latency samples of the same
-// branch event — the §8 noise-amortization strategy (Figure 8).
-func (d *TimingDetector) MissMeanOf(latencies []uint64) bool {
-	return stats.MeanUint64(latencies) > float64(d.Threshold)
-}
-
 // String implements fmt.Stringer.
 func (d *TimingDetector) String() string {
 	return fmt.Sprintf("timing detector: hit≈%.0f miss≈%.0f threshold=%d cycles",

@@ -300,9 +300,6 @@ func (c *Core) Telemetry() *telemetry.Set { return c.tel }
 // mitigation configuration (MarkSensitive). Attack code must not use it.
 func (c *Core) BPU() *bpu.Unit { return c.bpuUnit }
 
-// Timing returns the core's timing parameters.
-func (c *Core) Timing() Timing { return c.timing }
-
 // Clock returns the current cycle count.
 func (c *Core) Clock() uint64 { return c.clock }
 
@@ -411,9 +408,6 @@ func (c *Core) NewContext(domain uint64) *Context {
 // work on this context use it as their Chrome-trace tid.
 func (x *Context) TID() int { return x.tid }
 
-// Domain returns the context's security domain identifier.
-func (x *Context) Domain() uint64 { return x.domain }
-
 // Core returns the core this context belongs to.
 func (x *Context) Core() *Core { return x.core }
 
@@ -496,9 +490,6 @@ func (x *Context) ResolveBranch(addr uint64) ResolvedBranch {
 		target: addr + 16,
 	}
 }
-
-// Addr returns the resolved branch's address.
-func (rb *ResolvedBranch) Addr() uint64 { return rb.site.Addr() }
 
 // Execute runs the resolved branch once with the given direction; it is
 // observationally identical to Context.Branch at the same address.

@@ -87,8 +87,8 @@ func TestMispredictionCostsCycles(t *testing.T) {
 	if miss <= hit {
 		t.Fatalf("miss latency %d not greater than hit latency %d", miss, hit)
 	}
-	if got := miss - hit; got != core.Timing().MispredictPenalty {
-		t.Errorf("penalty = %d cycles, want %d", got, core.Timing().MispredictPenalty)
+	if got := miss - hit; got != core.timing.MispredictPenalty {
+		t.Errorf("penalty = %d cycles, want %d", got, core.timing.MispredictPenalty)
 	}
 }
 
@@ -111,14 +111,14 @@ func TestBTBMissCostsCycles(t *testing.T) {
 	t0 = ctx.ReadTSC()
 	ctx.Branch(0x100, true) // direction correct, BTB hit now
 	warm := ctx.ReadTSC() - t0
-	if cold-warm != core.Timing().BTBMissPenalty {
-		t.Errorf("BTB miss extra = %d, want %d", cold-warm, core.Timing().BTBMissPenalty)
+	if cold-warm != core.timing.BTBMissPenalty {
+		t.Errorf("BTB miss extra = %d, want %d", cold-warm, core.timing.BTBMissPenalty)
 	}
 }
 
 func TestICacheFirstTouchCost(t *testing.T) {
 	core := testCore()
-	tm := core.Timing()
+	tm := core.timing
 	ctx := core.NewContext(1)
 	// First execution at a fresh address must cost at least the minimum
 	// cold-miss penalty more than a warm one on average. Use Nop to
@@ -143,7 +143,7 @@ func TestICacheCrossDomainEviction(t *testing.T) {
 	t0 := core.Clock()
 	a.Nop(0x4000)
 	warm := core.Clock() - t0
-	if warm != core.Timing().BaseInstr {
+	if warm != core.timing.BaseInstr {
 		t.Fatalf("warm nop cost %d", warm)
 	}
 	// Same line index, different domain: evicts.
@@ -168,8 +168,8 @@ func TestReadTSCAdvancesClock(t *testing.T) {
 	ctx := core.NewContext(1)
 	t1 := ctx.ReadTSC()
 	t2 := ctx.ReadTSC()
-	if t2-t1 != core.Timing().TSCOverhead {
-		t.Errorf("TSC delta = %d, want overhead %d", t2-t1, core.Timing().TSCOverhead)
+	if t2-t1 != core.timing.TSCOverhead {
+		t.Errorf("TSC delta = %d, want overhead %d", t2-t1, core.timing.TSCOverhead)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestWorkAdvances(t *testing.T) {
 	ctx := core.NewContext(1)
 	c0 := core.Clock()
 	ctx.Work(10)
-	if core.Clock()-c0 != 10*core.Timing().BaseInstr {
+	if core.Clock()-c0 != 10*core.timing.BaseInstr {
 		t.Errorf("Work(10) advanced %d cycles", core.Clock()-c0)
 	}
 	if ctx.ReadPMC(Instructions) != 10 {
@@ -283,8 +283,8 @@ func TestEventString(t *testing.T) {
 func TestDomainAccessors(t *testing.T) {
 	core := testCore()
 	ctx := core.NewContext(7)
-	if ctx.Domain() != 7 {
-		t.Errorf("Domain = %d", ctx.Domain())
+	if ctx.domain != 7 {
+		t.Errorf("domain = %d", ctx.domain)
 	}
 	if ctx.Core() != core {
 		t.Error("Core accessor mismatch")

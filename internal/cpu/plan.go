@@ -43,9 +43,6 @@ func (x *Context) NewPlan(capacity int) *ExecPlan {
 	return &ExecPlan{x: x, ops: make([]planOp, 0, capacity)}
 }
 
-// Reset empties the plan, retaining its op buffer for reuse.
-func (p *ExecPlan) Reset() { p.ops = p.ops[:0] }
-
 // Len returns the number of compiled ops.
 func (p *ExecPlan) Len() int { return len(p.ops) }
 

@@ -24,11 +24,7 @@
 // as a partial defense.
 package detect
 
-import (
-	"fmt"
-
-	"branchscope/internal/cpu"
-)
+import "branchscope/internal/cpu"
 
 // Config tunes the monitor.
 type Config struct {
@@ -119,10 +115,4 @@ func (m *Monitor) Detected() bool { return m.alerts > 0 }
 // Stats returns (windows sampled, suspicious windows).
 func (m *Monitor) Stats() (windows, suspicious uint64) {
 	return m.windows, m.suspicious
-}
-
-// String implements fmt.Stringer.
-func (m *Monitor) String() string {
-	return fmt.Sprintf("detector: %d/%d suspicious windows, %d alert(s)",
-		m.suspicious, m.windows, m.alerts)
 }

@@ -105,7 +105,8 @@ func TestMonitorComposesWithScheduler(t *testing.T) {
 		block.Run(ctx)
 	})
 	mon := Attach(th.Context(), Config{})
-	th.Run()
+	for th.Step(1 << 16) {
+	}
 	if !mon.Detected() {
 		t.Errorf("stepped attack thread not detected: %s", mon)
 	}
@@ -115,8 +116,5 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.WindowInstructions <= 0 || c.AllocDensity <= 0 || c.ConsecutiveWindows <= 0 {
 		t.Errorf("bad defaults: %+v", c)
-	}
-	if (&Monitor{}).String() == "" {
-		t.Error("empty String")
 	}
 }

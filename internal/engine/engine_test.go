@@ -173,11 +173,8 @@ func TestPoolWorkers(t *testing.T) {
 	if NewPool(1) != nil || NewPool(0) != nil {
 		t.Error("NewPool(<=1) must be the nil (sequential) pool")
 	}
-	if w := (*Pool)(nil).Workers(); w != 1 {
-		t.Errorf("nil pool workers = %d", w)
-	}
-	if w := NewPool(8).Workers(); w != 8 {
-		t.Errorf("workers = %d, want 8", w)
+	if w := cap(NewPool(8).sem) + 1; w != 8 {
+		t.Errorf("workers = %d, want 8 (the caller plus 7 helpers)", w)
 	}
 	if p := PoolFrom(context.Background()); p != nil {
 		t.Error("PoolFrom of a bare context must be nil")

@@ -30,14 +30,6 @@ func NewPool(workers int) *Pool {
 	return &Pool{sem: make(chan struct{}, workers-1)}
 }
 
-// Workers reports the concurrency bound (1 for the nil pool).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return cap(p.sem) + 1
-}
-
 // poolKey carries the process's pool through contexts so nested code
 // (experiments decomposing into per-model units) inherits the same
 // concurrency bound the CLI configured, without global state.

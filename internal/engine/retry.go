@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// RetryPolicy makes RunTask re-run failed tasks: the suite-level
-// counterpart of the attack loop's per-bit retries. A policy only ever
-// re-runs *transient* failures — interference, timeouts, anything
-// marked Transient — never deterministic bugs, which would fail
-// identically forever.
+// RetryPolicy makes RunTask re-run tasks whose attempt hit its
+// per-attempt deadline (Runner.Timeout): the suite-level counterpart of
+// the attack loop's per-bit retries. Nothing else is retried — in a
+// deterministic simulation any other failure reproduces, so another
+// attempt only burns time.
 //
 // Every attempt runs with a distinct derived seed
 // (DeriveSeed(taskSeed, "attempt", n) for attempt n > 1), so a retry is
@@ -23,21 +23,11 @@ type RetryPolicy struct {
 	// MaxAttempts bounds the total runs of one task. Values <= 1
 	// disable retries (the zero policy is a no-op).
 	MaxAttempts int
-	// Backoff is the base delay inserted before the second attempt;
-	// it doubles per subsequent attempt, capped by BackoffCap. The
-	// delay is *simulated* by default: accumulated into
-	// Report.Backoff for ledgers and logs but not slept, keeping
-	// suite runs deterministic and fast. Install Sleep to make it
-	// real (daemon-style callers).
+	// Backoff is the base delay charged before the second attempt; it
+	// doubles per subsequent attempt, capped at 16*Backoff. The delay
+	// is simulated: accumulated into Report.Backoff for ledgers and
+	// logs but not slept, keeping suite runs deterministic and fast.
 	Backoff time.Duration
-	// BackoffCap bounds one backoff interval; zero means 16*Backoff.
-	BackoffCap time.Duration
-	// Classify overrides the transient-vs-permanent decision. Nil uses
-	// DefaultClassify.
-	Classify func(error) bool
-	// Sleep, when non-nil, is called with each backoff delay. It must
-	// honor ctx cancellation.
-	Sleep func(ctx context.Context, d time.Duration)
 }
 
 // max returns the effective attempt bound.
@@ -48,24 +38,13 @@ func (p RetryPolicy) max() int {
 	return p.MaxAttempts
 }
 
-// transient reports whether err is worth another attempt.
-func (p RetryPolicy) transient(err error) bool {
-	if p.Classify != nil {
-		return p.Classify(err)
-	}
-	return DefaultClassify(err)
-}
-
-// backoffFor returns the capped delay inserted after the given
+// backoffFor returns the capped delay charged after the given
 // (1-based, failed) attempt.
 func (p RetryPolicy) backoffFor(attempt int) time.Duration {
 	if p.Backoff <= 0 {
 		return 0
 	}
-	lim := p.BackoffCap
-	if lim <= 0 {
-		lim = 16 * p.Backoff
-	}
+	lim := 16 * p.Backoff
 	d := p.Backoff
 	for i := 1; i < attempt && d < lim; i++ {
 		d *= 2
@@ -76,56 +55,12 @@ func (p RetryPolicy) backoffFor(attempt int) time.Duration {
 	return d
 }
 
-// transientMark / permanentMark implement the error-classification
-// markers. They wrap (not replace) the cause, so errors.Is/As still see
-// through them.
-type transientMark struct{ err error }
-
-func (e transientMark) Error() string { return "transient: " + e.err.Error() }
-func (e transientMark) Unwrap() error { return e.err }
-
-type permanentMark struct{ err error }
-
-func (e permanentMark) Error() string { return "permanent: " + e.err.Error() }
-func (e permanentMark) Unwrap() error { return e.err }
-
-// Transient marks err as retryable regardless of the default
-// classification. Experiments use it for failures that a different
-// randomization can heal (a failed pre-attack search under noise).
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transientMark{err}
-}
-
-// Permanent marks err as terminal: no retry, whatever the policy.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return permanentMark{err}
-}
-
-// DefaultClassify is the stock transient-vs-permanent decision:
-//
-//   - errors marked Permanent, and context.Canceled, are permanent —
-//     retrying canceled work is disobedience, not resilience;
-//   - errors marked Transient are transient;
-//   - a per-attempt timeout (context.DeadlineExceeded) is transient:
-//     rough scheduling is exactly what retries exist for;
-//   - everything else is permanent — in a deterministic simulation an
-//     unexplained failure reproduces, so retrying it only burns time.
-func DefaultClassify(err error) bool {
-	var pm permanentMark
-	if errors.As(err, &pm) || errors.Is(err, context.Canceled) {
-		return false
-	}
-	var tm transientMark
-	if errors.As(err, &tm) {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
+// retryable reports whether a failed attempt is worth another one: only
+// a per-attempt timeout (context.DeadlineExceeded) is, since rough
+// scheduling is exactly what retries exist for. context.Canceled never
+// is — retrying canceled work is disobedience, not resilience.
+func retryable(err error) bool {
+	return !errors.Is(err, context.Canceled) && errors.Is(err, context.DeadlineExceeded)
 }
 
 // attemptSeed derives the seed of one retry attempt from the task's

@@ -8,6 +8,10 @@ import (
 	"time"
 )
 
+// timeoutErr is what an attempt that hit its per-attempt deadline
+// returns: the one retryable failure.
+var timeoutErr = fmt.Errorf("task: %w", context.DeadlineExceeded)
+
 // flakyTask fails with failErr until the given attempt number, then
 // succeeds, recording the seed of every attempt.
 func flakyTask(id string, succeedOn int, failErr error, seeds *[]uint64) Task {
@@ -25,7 +29,7 @@ func flakyTask(id string, succeedOn int, failErr error, seeds *[]uint64) Task {
 func TestRetryTransientFailureRecovers(t *testing.T) {
 	var seeds []uint64
 	r := &Runner{Retry: RetryPolicy{MaxAttempts: 3, Backoff: time.Second}}
-	rep := r.RunTask(context.Background(), flakyTask("flaky", 2, Transient(errors.New("glitch")), &seeds), Config{Seed: 9})
+	rep := r.RunTask(context.Background(), flakyTask("flaky", 2, timeoutErr, &seeds), Config{Seed: 9})
 	if rep.Err != nil {
 		t.Fatalf("retry did not recover: %v", rep.Err)
 	}
@@ -52,7 +56,7 @@ func TestRetryTransientFailureRecovers(t *testing.T) {
 func TestRetryBudgetExhausted(t *testing.T) {
 	var seeds []uint64
 	r := &Runner{Retry: RetryPolicy{MaxAttempts: 3, Backoff: 10 * time.Millisecond}}
-	rep := r.RunTask(context.Background(), flakyTask("doomed", 99, Transient(errors.New("glitch")), &seeds), Config{Seed: 9})
+	rep := r.RunTask(context.Background(), flakyTask("doomed", 99, timeoutErr, &seeds), Config{Seed: 9})
 	if rep.Err == nil {
 		t.Fatal("exhausted task reported success")
 	}
@@ -71,14 +75,13 @@ func TestRetryPermanentFailuresNotRetried(t *testing.T) {
 		outcome string
 	}{
 		{"plain", errors.New("deterministic bug"), "error"},
-		{"marked-permanent", Permanent(Transient(errors.New("x"))), "error"},
 		{"canceled", fmt.Errorf("task: %w", context.Canceled), "canceled"},
 	} {
 		var seeds []uint64
 		r := &Runner{Retry: RetryPolicy{MaxAttempts: 5}}
 		rep := r.RunTask(context.Background(), flakyTask(c.name, 99, c.err, &seeds), Config{Seed: 1})
 		if rep.Attempts != 1 {
-			t.Errorf("%s: %d attempts, want 1 (permanent)", c.name, rep.Attempts)
+			t.Errorf("%s: %d attempts, want 1 (not retryable)", c.name, rep.Attempts)
 		}
 		if rep.Exhausted {
 			t.Errorf("%s: Exhausted without spending the budget", c.name)
@@ -91,7 +94,6 @@ func TestRetryPermanentFailuresNotRetried(t *testing.T) {
 
 func TestRetryTimeoutErrorIsTransient(t *testing.T) {
 	var seeds []uint64
-	timeoutErr := fmt.Errorf("task: %w", context.DeadlineExceeded)
 	r := &Runner{Retry: RetryPolicy{MaxAttempts: 2}}
 	rep := r.RunTask(context.Background(), flakyTask("slow", 2, timeoutErr, &seeds), Config{Seed: 1})
 	if rep.Err != nil || rep.Attempts != 2 {
@@ -102,12 +104,12 @@ func TestRetryTimeoutErrorIsTransient(t *testing.T) {
 func TestRetryZeroPolicyIsSingleAttempt(t *testing.T) {
 	var seeds []uint64
 	r := &Runner{}
-	rep := r.RunTask(context.Background(), flakyTask("once", 99, Transient(errors.New("x")), &seeds), Config{Seed: 4})
+	rep := r.RunTask(context.Background(), flakyTask("once", 99, timeoutErr, &seeds), Config{Seed: 4})
 	if rep.Attempts != 1 || rep.Exhausted {
 		t.Errorf("zero policy: attempts=%d exhausted=%v, want one attempt, not exhausted", rep.Attempts, rep.Exhausted)
 	}
-	if rep.Outcome() != "error" {
-		t.Errorf("zero policy Outcome = %q, want error (a 1-budget cannot be exhausted)", rep.Outcome())
+	if rep.Outcome() != "timeout" {
+		t.Errorf("zero policy Outcome = %q, want timeout (a 1-budget cannot be exhausted)", rep.Outcome())
 	}
 	if rep.Seed != DeriveSeed(4, "once") {
 		t.Error("zero policy changed the task seed")
@@ -115,66 +117,40 @@ func TestRetryZeroPolicyIsSingleAttempt(t *testing.T) {
 }
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	p := RetryPolicy{Backoff: 100 * time.Millisecond, BackoffCap: 300 * time.Millisecond}
+	p := RetryPolicy{Backoff: 100 * time.Millisecond}
 	for attempt, want := range map[int]time.Duration{
 		1: 100 * time.Millisecond,
 		2: 200 * time.Millisecond,
-		3: 300 * time.Millisecond, // capped from 400
-		9: 300 * time.Millisecond,
+		5: 1600 * time.Millisecond, // 16x the base: the cap
+		9: 1600 * time.Millisecond, // capped from 25.6s
 	} {
 		if got := p.backoffFor(attempt); got != want {
 			t.Errorf("backoffFor(%d) = %v, want %v", attempt, got, want)
 		}
-	}
-	// Default cap is 16x the base.
-	p = RetryPolicy{Backoff: time.Millisecond}
-	if got := p.backoffFor(20); got != 16*time.Millisecond {
-		t.Errorf("default cap: backoffFor(20) = %v, want 16ms", got)
 	}
 	if got := (RetryPolicy{}).backoffFor(3); got != 0 {
 		t.Errorf("zero Backoff yields %v", got)
 	}
 }
 
-func TestRetrySleepHookObservesBackoff(t *testing.T) {
-	var slept []time.Duration
-	var seeds []uint64
-	r := &Runner{Retry: RetryPolicy{
-		MaxAttempts: 3,
-		Backoff:     5 * time.Millisecond,
-		Sleep:       func(ctx context.Context, d time.Duration) { slept = append(slept, d) },
-	}}
-	r.RunTask(context.Background(), flakyTask("sleepy", 99, Transient(errors.New("x")), &seeds), Config{Seed: 1})
-	if len(slept) != 2 || slept[0] != 5*time.Millisecond || slept[1] != 10*time.Millisecond {
-		t.Errorf("Sleep hook saw %v, want [5ms 10ms]", slept)
-	}
-}
-
+// TestDefaultClassify: the classification is fixed — a per-attempt
+// deadline is retryable, anything else, cancellation included, is not.
 func TestDefaultClassify(t *testing.T) {
 	cases := []struct {
 		err  error
 		want bool
 	}{
-		{Transient(errors.New("x")), true},
-		{fmt.Errorf("wrap: %w", Transient(errors.New("x"))), true},
+		{context.DeadlineExceeded, true},
 		{fmt.Errorf("wrap: %w", context.DeadlineExceeded), true},
-		{Permanent(errors.New("x")), false},
 		{fmt.Errorf("wrap: %w", context.Canceled), false},
+		{errors.Join(context.Canceled, context.DeadlineExceeded), false},
 		{errors.New("plain"), false},
 		{nil, false},
 	}
 	for _, c := range cases {
-		if got := DefaultClassify(c.err); got != c.want {
-			t.Errorf("DefaultClassify(%v) = %v, want %v", c.err, got, c.want)
+		if got := retryable(c.err); got != c.want {
+			t.Errorf("retryable(%v) = %v, want %v", c.err, got, c.want)
 		}
-	}
-	// The markers wrap rather than replace: errors.Is sees through.
-	cause := errors.New("cause")
-	if !errors.Is(Transient(cause), cause) || !errors.Is(Permanent(cause), cause) {
-		t.Error("markers hide their cause from errors.Is")
-	}
-	if Transient(nil) != nil || Permanent(nil) != nil {
-		t.Error("marking nil is not nil")
 	}
 }
 

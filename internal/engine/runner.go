@@ -74,11 +74,11 @@ type Report struct {
 	// Attempts is how many times the task ran (1 without a retry
 	// policy, or when the first attempt settled it).
 	Attempts int
-	// Backoff is the total backoff delay charged between attempts
-	// (simulated unless the policy installs a real Sleep).
+	// Backoff is the total simulated backoff delay charged between
+	// attempts.
 	Backoff time.Duration
-	// Exhausted marks a transient failure that consumed the full retry
-	// budget: the task kept failing retryably until MaxAttempts.
+	// Exhausted marks a task that consumed the full retry budget: every
+	// attempt up to MaxAttempts timed out.
 	Exhausted bool
 	// Stuck marks a task that exceeded the runner's soft Watchdog
 	// deadline while running. Unlike a timeout it is advisory: the task
@@ -118,8 +118,9 @@ type Runner struct {
 	// (completion order, concurrently under parallel execution) —
 	// progress reporting, not part of the deterministic output.
 	OnDone func(Report)
-	// Retry re-runs transiently failed tasks with fresh derived seeds
-	// and capped backoff. The zero policy disables retries.
+	// Retry re-runs tasks that hit the per-attempt Timeout with fresh
+	// derived seeds and capped backoff. The zero policy disables
+	// retries.
 	Retry RetryPolicy
 	// Watchdog is the soft per-task deadline: a task still running past
 	// it is marked Stuck and reported through OnStuck, but — unlike
@@ -142,7 +143,7 @@ type Runner struct {
 
 // RunTask executes one task with the runner's timeout, panic recovery,
 // per-task seed derivation, and — under a retry policy — re-runs of
-// transient failures on per-attempt derived seeds. The timeout applies
+// timed-out attempts on per-attempt derived seeds. The timeout applies
 // per attempt; a retried task may consume up to MaxAttempts × Timeout.
 func (r *Runner) RunTask(ctx context.Context, t Task, cfg Config) Report {
 	ctx = WithPool(ctx, r.Pool)
@@ -181,20 +182,16 @@ func (r *Runner) RunTask(ctx context.Context, t Task, cfg Config) Report {
 		if rep.Err == nil || rep.Panicked {
 			break
 		}
-		if ctx.Err() != nil || !r.Retry.transient(rep.Err) {
+		if ctx.Err() != nil || !retryable(rep.Err) {
 			break
 		}
 		if attempt >= r.Retry.max() {
-			// A transient failure that survived the whole budget —
-			// only a real budget can be exhausted.
+			// A timeout that survived the whole budget — only a
+			// real budget can be exhausted.
 			rep.Exhausted = r.Retry.max() > 1
 			break
 		}
-		d := r.Retry.backoffFor(attempt)
-		rep.Backoff += d
-		if r.Retry.Sleep != nil && d > 0 {
-			r.Retry.Sleep(ctx, d)
-		}
+		rep.Backoff += r.Retry.backoffFor(attempt)
 	}
 	rep.Wall = time.Since(start)
 	rep.Stuck = stuck.Load()
@@ -282,8 +279,8 @@ func (r *Runner) RunSuite(ctx context.Context, tasks []Task, cfg Config) []Repor
 // "ok", "retried-ok" (success that needed more than one attempt),
 // "replayed" (reconstructed from a campaign journal, not re-run),
 // "skipped-open-breaker" (never ran: the family's circuit breaker was
-// open), "panic", "exhausted" (transient failure that consumed the
-// whole retry budget), "timeout", "canceled" or "error". Timeout and
+// open), "panic", "exhausted" (every attempt of the whole retry budget
+// timed out), "timeout", "canceled" or "error". Timeout and
 // cancellation are deliberately distinct outcomes: a timeout is the
 // task's own budget expiring (actionable per task), a cancellation is
 // the operator or a parent tearing the suite down (not the task's

@@ -144,17 +144,13 @@ func TestRetryDoesNotResurrectCanceledTask(t *testing.T) {
 	defer cancel()
 	var attempts atomic.Int32
 	r := &Runner{
-		Retry: RetryPolicy{
-			MaxAttempts: 5,
-			// Everything is transient: only the ctx.Err() guard can stop
-			// the loop.
-			Classify: func(error) bool { return true },
-		},
+		Retry: RetryPolicy{MaxAttempts: 5},
 	}
 	rep := r.RunTask(ctx, Task{ID: "dying", Run: func(ctx context.Context, cfg Config) (Result, error) {
 		attempts.Add(1)
 		cancel() // the parent run is being torn down
-		return nil, ctx.Err()
+		// A retryable error: only the ctx.Err() guard can stop the loop.
+		return nil, context.DeadlineExceeded
 	}}, Config{Seed: 1})
 
 	if got := attempts.Load(); got != 1 {
@@ -178,7 +174,7 @@ func TestRetryTimeoutStillRetriesButCancellationWins(t *testing.T) {
 	var attempts atomic.Int32
 	r := &Runner{
 		Timeout: 5 * time.Millisecond,
-		Retry:   RetryPolicy{MaxAttempts: 3, Classify: func(error) bool { return true }},
+		Retry:   RetryPolicy{MaxAttempts: 3},
 	}
 	rep := r.RunTask(context.Background(), Task{ID: "sleepy", Run: func(ctx context.Context, cfg Config) (Result, error) {
 		attempts.Add(1)

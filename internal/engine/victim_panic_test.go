@@ -23,8 +23,8 @@ func TestRunnerIsolatesVictimPanic(t *testing.T) {
 				hw.Branch(0x100, true)
 				panic("deliberate victim panic")
 			})
-			th.StepBranches(1)
-			th.Run()
+			for th.StepBranches(1) {
+			}
 			return textResult("victim returned"), nil
 		},
 	}

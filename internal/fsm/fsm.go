@@ -47,9 +47,6 @@ func (l Label) String() string {
 	return fmt.Sprintf("Label(%d)", uint8(l))
 }
 
-// Labels lists the four counter labels in not-taken to taken order.
-func Labels() []Label { return []Label{SN, WN, WT, ST} }
-
 // Spec is an immutable description of a saturating-counter FSM. A state is
 // a uint8 in [0, States); higher states lean taken.
 //
@@ -129,32 +126,9 @@ func (s *Spec) ReferenceLabel(state uint8) Label {
 	return s.labels[state]
 }
 
-// Strong returns the saturated state for a direction: the state reached
-// after arbitrarily many outcomes in that direction.
-func (s *Spec) Strong(taken bool) uint8 {
-	if taken {
-		return s.States - 1
-	}
-	return 0
-}
-
 // Label classifies an internal state architecturally.
 func (s *Spec) Label(state uint8) Label {
 	return Label(s.meta[state] >> 1)
-}
-
-// Valid reports whether state is a legal state index for this spec.
-func (s *Spec) Valid(state uint8) bool {
-	return state < s.States
-}
-
-// Apply runs a sequence of outcomes from a starting state and returns the
-// final state. It is a convenience for tests and experiment code.
-func (s *Spec) Apply(state uint8, outcomes ...bool) uint8 {
-	for _, t := range outcomes {
-		state = s.Next(state, t)
-	}
-	return state
 }
 
 // Textbook2Bit returns the classic 2-bit saturating counter:

@@ -228,7 +228,7 @@ func TestQuickTransitionsBounded(t *testing.T) {
 		for _, s := range specs {
 			st := start % s.States
 			nx := s.Next(st, dir)
-			if !s.Valid(nx) {
+			if nx >= s.States {
 				return false
 			}
 			d := int(nx) - int(st)
@@ -291,10 +291,16 @@ func TestLabelString(t *testing.T) {
 	}
 }
 
+// TestLabelsOrder: the labels run from not-taken to taken, the order
+// the lowest and highest states of every spec take.
 func TestLabelsOrder(t *testing.T) {
-	ls := Labels()
-	if len(ls) != 4 || ls[0] != SN || ls[3] != ST {
-		t.Errorf("Labels() = %v", ls)
+	if !(SN < WN && WN < WT && WT < ST) {
+		t.Errorf("labels out of order: SN=%d WN=%d WT=%d ST=%d", SN, WN, WT, ST)
+	}
+	for _, s := range []*Spec{Textbook2Bit(), SkylakeAsym()} {
+		if lo, hi := s.Label(0), s.Label(s.States-1); lo != SN || hi != ST {
+			t.Errorf("%s: labels %v..%v, want SN..ST", s.Name, lo, hi)
+		}
 	}
 }
 

@@ -135,11 +135,12 @@ type Report struct {
 	// MutualInformationBits is the empirical I(X;Y) of the observed
 	// channel, in bits per transmitted branch.
 	MutualInformationBits float64 `json:"mutual_information_bits"`
-	// CapacityBits is the Blahut–Arimoto capacity of the estimated
-	// transition matrix, bits/branch — what an optimal input
-	// distribution could push through the measured channel. When a
+	// CapacityBits is the capacity of the estimated transition matrix,
+	// bits/branch — what an optimal input distribution could push
+	// through the measured channel: the better of the Blahut–Arimoto
+	// estimate and the empirical MI, both lower bounds on it. When a
 	// sent class was never observed the matrix has no estimate for
-	// that row and the field falls back to the empirical MI.
+	// that row and the field is the empirical MI.
 	CapacityBits float64 `json:"capacity_bits"`
 	// SNR is (μ1-μ0)² / (σ0²+σ1²) over the probe-signal populations;
 	// 0 when either class is missing or both variances vanish.
@@ -216,27 +217,30 @@ func (e *Estimator) mutualInformation() float64 {
 			float64(e.conf[x][1])/rowN[x],
 			float64(e.conf[x][2])/rowN[x])
 	}
-	mi := hy - hyx
-	if mi < 0 { // floating-point slop on a near-independent channel
-		mi = 0
-	}
-	return mi
+	// Clamp floating-point slop: 0 ≤ I(X;Y) ≤ H(X) ≤ 1 bit for a
+	// binary input, reached on a near-independent and a noiseless
+	// channel respectively.
+	return math.Min(math.Max(hy-hyx, 0), 1)
 }
 
 // blahutArimotoIters is the fixed iteration count of the capacity
 // solver. On a 2×3 channel the alternating optimization converges
-// geometrically; 64 iterations put the residual far below the
-// precision anything downstream renders, and a fixed count keeps the
-// computation deterministic with no data-dependent loop exits.
+// geometrically, though slowly on a nearly useless channel fed a
+// skewed input; a fixed count keeps the computation deterministic with
+// no data-dependent loop exits.
 const blahutArimotoIters = 64
 
 // capacity runs Blahut–Arimoto on the estimated transition matrix
-// W(y|x) = conf[x][y] / Σ_y conf[x][y]. With an unobserved input row
-// there is no estimate for that input's behaviour, so the empirical
-// MI (the caller passes it) is the honest answer — for the all-zeros
-// and all-ones patterns that is 0 bits, as it should be: a channel
-// exercised with H(X) = 0 demonstrated no capacity.
-func (e *Estimator) capacity(fallbackMI float64) float64 {
+// W(y|x) = conf[x][y] / Σ_y conf[x][y] and reports the larger of its
+// estimate and the empirical MI (the caller passes it). Both are lower
+// bounds on the capacity: the MI is the information the observed
+// input distribution carried, and from the uniform start 64 iterations
+// can stop short of it. With an unobserved input row there is no
+// estimate for that input's behaviour, so the MI is the honest answer
+// — for the all-zeros and all-ones patterns that is 0 bits, as it
+// should be: a channel exercised with H(X) = 0 demonstrated no
+// capacity.
+func (e *Estimator) capacity(mi float64) float64 {
 	var w [2][3]float64
 	for x := range e.conf {
 		rowN := 0.0
@@ -244,7 +248,7 @@ func (e *Estimator) capacity(fallbackMI float64) float64 {
 			rowN += float64(n)
 		}
 		if rowN == 0 {
-			return fallbackMI
+			return mi
 		}
 		for y, n := range e.conf[x] {
 			w[x][y] = float64(n) / rowN
@@ -273,14 +277,14 @@ func (e *Estimator) capacity(fallbackMI float64) float64 {
 			sum += q[x] * c[x]
 		}
 		if sum <= 0 || math.IsNaN(sum) || math.IsInf(sum, 0) {
-			return fallbackMI
+			return mi
 		}
 		q[0] = q[0] * c[0] / sum
 		q[1] = q[1] * c[1] / sum
 	}
 	cap := math.Log2(q[0]*c[0] + q[1]*c[1])
-	if cap < 0 || math.IsNaN(cap) || math.IsInf(cap, 0) {
-		cap = 0
+	if !(cap > mi) || math.IsInf(cap, 0) {
+		return mi
 	}
 	return cap
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"branchscope/internal/rng"
 )
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -227,5 +229,80 @@ func TestPublishSlots(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), Schema) {
 		t.Errorf("report export missing schema: %s", buf.String())
+	}
+}
+
+// checkProperties checks one report against the definitions: BER
+// agrees with the confusion matrix, and 0 ≤ MI ≤ capacity ≤ 1 bit.
+func checkProperties(t *testing.T, conf [2][3]uint64) Report {
+	t.Helper()
+	e := Estimator{conf: conf}
+	r := e.Report()
+	wrong := conf[0][1] + conf[1][0]
+	unknown := conf[0][2] + conf[1][2]
+	bits := wrong + unknown + conf[0][0] + conf[1][1]
+	ber := 0.0
+	if bits > 0 {
+		ber = (float64(wrong) + 0.5*float64(unknown)) / float64(bits)
+	}
+	if r.Bits != bits || r.WrongKnown != wrong || r.Unknown != unknown || r.BitErrorRate != ber {
+		t.Errorf("%v: bits/wrong/unknown/BER = %d/%d/%d/%v, want %d/%d/%d/%v",
+			conf, r.Bits, r.WrongKnown, r.Unknown, r.BitErrorRate, bits, wrong, unknown, ber)
+	}
+	if mi, c := r.MutualInformationBits, r.CapacityBits; !(0 <= mi && mi <= c && c <= 1) {
+		t.Errorf("%v: MI %.9g, capacity %.9g: want 0 <= MI <= capacity <= 1", conf, mi, c)
+	}
+	return r
+}
+
+// TestLeakageProperties runs checkProperties over table cases and
+// seeded random 2×3 confusion matrices, and pins the two extremes: a
+// noiseless channel carries 1 bit, an input-independent one 0.
+func TestLeakageProperties(t *testing.T) {
+	for _, conf := range [][2][3]uint64{
+		// 64 Blahut–Arimoto iterations from the uniform start stop
+		// short of this channel's MI.
+		{{1552, 19, 22}, {2753, 32, 0}},
+		{{0, 0, 0}, {0, 0, 0}},
+		{{5, 0, 0}, {0, 0, 0}},
+		{{0, 0, 9}, {0, 0, 3}},
+	} {
+		checkProperties(t, conf)
+	}
+	for _, conf := range [][2][3]uint64{
+		{{50, 0, 0}, {0, 50, 0}},
+		{{1, 0, 0}, {0, 999, 0}},
+		{{0, 7, 0}, {3, 0, 0}},
+		{{0, 0, 4}, {0, 9, 0}},
+	} {
+		if r := checkProperties(t, conf); !almost(r.CapacityBits, 1, 1e-12) {
+			t.Errorf("noiseless %v: capacity %v, want 1", conf, r.CapacityBits)
+		}
+	}
+	for _, conf := range [][2][3]uint64{
+		{{10, 20, 30}, {10, 20, 30}},
+		{{3, 1, 0}, {300, 100, 0}},
+		{{7, 0, 2}, {21, 0, 6}},
+	} {
+		if r := checkProperties(t, conf); !almost(r.CapacityBits, 0, 1e-12) {
+			t.Errorf("input-independent %v: capacity %v, want 0", conf, r.CapacityBits)
+		}
+	}
+	r := rng.New(1)
+	scales := []uint64{2, 10, 100, 10000}
+	for i := 0; i < 20000; i++ {
+		var conf [2][3]uint64
+		for x := range conf {
+			scale := scales[r.Intn(len(scales))]
+			for y := range conf[x] {
+				if r.Intn(4) != 0 {
+					conf[x][y] = r.Uint64n(scale)
+				}
+			}
+		}
+		checkProperties(t, conf)
+		if t.Failed() {
+			return
+		}
 	}
 }

@@ -68,12 +68,16 @@ func Digest(result string) string {
 
 // Ledger appends schema-versioned JSONL records to a writer, one line
 // per completed task/run. Appends are mutex-serialized so concurrent
-// runner hooks never interleave lines. The nil Ledger is valid and
-// drops records, matching the telemetry layer's nil-safety idiom.
+// runner hooks never interleave lines. Like durable.Appender it is
+// fail-stop: after a failed or short write, every later Append returns
+// that first error, so no record is written behind a partial line. The
+// nil Ledger is valid and drops records, matching the telemetry
+// layer's nil-safety idiom.
 type Ledger struct {
 	mu    sync.Mutex
 	w     io.Writer
 	runID string
+	err   error // first write error; sticky
 }
 
 // NewLedger wraps w; the caller owns closing it.
@@ -114,8 +118,17 @@ func (l *Ledger) Append(rec LedgerRecord) error {
 	data = append(data, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, err = l.w.Write(data)
-	return err
+	if l.err != nil {
+		return l.err
+	}
+	n, err := l.w.Write(data)
+	if err == nil && n < len(data) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		l.err = fmt.Errorf("obs: appending ledger record: %w", err)
+	}
+	return l.err
 }
 
 // ReadLedger parses a branchscope.ledger/v1 JSONL stream. A ledger is

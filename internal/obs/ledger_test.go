@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -127,6 +129,42 @@ func TestLedgerConcurrentAppendsDoNotInterleave(t *testing.T) {
 	}
 	if lines != 400 {
 		t.Errorf("lines = %d, want 400", lines)
+	}
+}
+
+// shortWriter writes only the first half of its first Write and reports
+// no error, as an io.Writer that breaks its contract might; every later
+// Write goes through whole.
+type shortWriter struct {
+	buf   bytes.Buffer
+	short bool
+}
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if !w.short {
+		w.short = true
+		return w.buf.Write(p[:len(p)/2])
+	}
+	return w.buf.Write(p)
+}
+
+// TestLedgerStopsAfterShortWrite: after a short write the ledger is
+// fail-stop. Appending behind the partial line would join the next
+// record onto it, and ReadLedger would drop the joined line as a torn
+// tail: the record lost without an error.
+func TestLedgerStopsAfterShortWrite(t *testing.T) {
+	w := &shortWriter{}
+	l := NewLedger(w)
+	first := l.Append(LedgerRecord{Program: "t", ID: "first", Outcome: "ok"})
+	if !errors.Is(first, io.ErrShortWrite) {
+		t.Fatalf("short write: Append = %v, want io.ErrShortWrite", first)
+	}
+	written := w.buf.Len()
+	if err := l.Append(LedgerRecord{Program: "t", ID: "second", Outcome: "ok"}); err != first {
+		t.Errorf("Append after a short write = %v, want the first error %v", err, first)
+	}
+	if w.buf.Len() != written {
+		t.Errorf("Append wrote %d bytes behind the partial line", w.buf.Len()-written)
 	}
 }
 

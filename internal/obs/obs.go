@@ -345,10 +345,3 @@ func (h *Handle) Addr() string {
 	}
 	return h.addr.String()
 }
-
-// Shutdown is Drain without the result — kept for callers that don't
-// log the drain outcome.
-func (h *Handle) Shutdown(ctx context.Context) error {
-	_, err := h.Drain(ctx)
-	return err
-}

@@ -179,8 +179,8 @@ func TestStartShutdown(t *testing.T) {
 	resp.Body.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if err := h.Shutdown(ctx); err != nil {
-		t.Errorf("shutdown: %v", err)
+	if res, err := h.Drain(ctx); err != nil || !res.Drained {
+		t.Errorf("shutdown: %v (%s)", err, res)
 	}
 	if _, err := http.Get("http://" + h.Addr() + "/healthz"); err == nil {
 		t.Error("server still reachable after shutdown")
@@ -258,7 +258,7 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		h.Shutdown(ctx)
+		h.Drain(ctx)
 	}()
 	base := "http://" + h.Addr()
 

@@ -8,13 +8,12 @@
 // virtual address, so two processes that place branches at the same
 // virtual address collide in the same entry. The index functions here
 // implement the bimodal scheme (address modulo table size, byte
-// granularity per §6.3), the gshare scheme (address XOR global history),
-// and a keyed randomized scheme used by the §10 mitigation study.
+// granularity per §6.3), the address fold that the gshare scheme XORs
+// with the global history (see internal/bpu), and a keyed randomized
+// scheme used by the §10 mitigation study.
 package pht
 
 import (
-	"fmt"
-
 	"branchscope/internal/fsm"
 	"branchscope/internal/rng"
 )
@@ -64,19 +63,11 @@ func (t *Table) SetStochastic(p float64, rnd *rng.Source) {
 // Size returns the number of entries.
 func (t *Table) Size() int { return len(t.entries) }
 
-// Spec returns the FSM spec shared by all entries.
-func (t *Table) Spec() *fsm.Spec { return t.spec }
-
 // Reset returns every entry to the fresh-entry state.
 func (t *Table) Reset() {
 	for i := range t.entries {
 		t.entries[i] = t.spec.Init
 	}
-}
-
-// Predict returns the predicted direction of entry idx.
-func (t *Table) Predict(idx int) bool {
-	return t.spec.Predict(t.entries[idx])
 }
 
 // Update advances entry idx by one observed outcome. The deterministic
@@ -115,22 +106,6 @@ func (t *Table) Raw() (entries, plane []uint8) { return t.entries, t.plane }
 // path (§10.2 mitigation). Callers inlining updates via Raw must check
 // this once and fall back to Update when set.
 func (t *Table) Stochastic() bool { return t.stochastic }
-
-// State returns the internal FSM state of entry idx. This is a simulator
-// inspection hook used by white-box tests and ground-truth checks; attack
-// code must not call it.
-func (t *Table) State(idx int) uint8 { return t.entries[idx] }
-
-// SetState forces entry idx into a specific state. Simulator/test hook.
-func (t *Table) SetState(idx int, state uint8) {
-	if !t.spec.Valid(state) {
-		panic(fmt.Sprintf("pht: invalid state %d for %s", state, t.spec.Name))
-	}
-	t.entries[idx] = state
-}
-
-// Label returns the architectural label of entry idx. Simulator/test hook.
-func (t *Table) Label(idx int) fsm.Label { return t.spec.Label(t.entries[idx]) }
 
 // Snapshot returns a copy of all entry states, for checkpoint/replay.
 func (t *Table) Snapshot() []uint8 {
@@ -205,13 +180,6 @@ func IndexMod(x uint64, size int) int {
 // function is a single byte").
 func BimodalIndex(addr uint64, size int) int {
 	return IndexMod(Fold(addr), size)
-}
-
-// GshareIndex maps a branch address and global history register value to
-// a PHT entry for the 2-level predictor: the folded address XORed with
-// the history, modulo table size.
-func GshareIndex(addr, ghr uint64, size int) int {
-	return IndexMod(Fold(addr)^ghr, size)
 }
 
 // KeyedIndex is the randomized-index mitigation of §10.2: the address is

@@ -39,7 +39,7 @@ func TestResetRestoresInit(t *testing.T) {
 	tab.Update(0, true)
 	tab.Update(0, true)
 	tab.Reset()
-	if tab.State(0) != tab.Spec().Init {
+	if tab.State(0) != tab.spec.Init {
 		t.Errorf("state after Reset = %d", tab.State(0))
 	}
 }
@@ -93,7 +93,9 @@ func TestNewPanicsOnBadSize(t *testing.T) {
 
 func TestLabel(t *testing.T) {
 	tab := New(fsm.Textbook2Bit(), 2)
-	tab.SetState(0, tab.Spec().Strong(true))
+	for i := 0; i < 3; i++ {
+		tab.Update(0, true)
+	}
 	if tab.Label(0) != fsm.ST {
 		t.Errorf("Label = %v, want ST", tab.Label(0))
 	}

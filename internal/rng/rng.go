@@ -8,8 +8,6 @@
 // math/rand's global functions — never shares state between components.
 package rng
 
-import "math"
-
 // Source is a deterministic pseudo-random number generator.
 //
 // The zero value is a valid generator seeded with 0; use New to seed it
@@ -39,11 +37,6 @@ func (s *Source) Uint64() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// Uint32 returns the next 32 uniformly distributed bits.
-func (s *Source) Uint32() uint32 {
-	return uint32(s.Uint64() >> 32)
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
@@ -82,19 +75,6 @@ func (s *Source) Chance(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the polar (Marsaglia) method.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
 }
 
 // Bits returns n uniformly distributed booleans.

@@ -1,7 +1,6 @@
 package rng
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -131,25 +130,6 @@ func TestChanceEdges(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(6)
-	const n = 50000
-	var sum, sum2 float64
-	for i := 0; i < n; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sum2 += x * x
-	}
-	mean := sum / n
-	variance := sum2/n - mean*mean
-	if math.Abs(mean) > 0.03 {
-		t.Errorf("normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance = %v", variance)
-	}
-}
-
 func TestBits(t *testing.T) {
 	bits := New(7).Bits(100)
 	if len(bits) != 100 {
@@ -184,18 +164,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUint32NotConstant(t *testing.T) {
-	r := New(8)
-	a, b := r.Uint32(), r.Uint32()
-	if a == b {
-		// one collision is possible but a second draw matching too is
-		// effectively impossible
-		if r.Uint32() == a {
-			t.Error("Uint32 returning constants")
-		}
 	}
 }
 

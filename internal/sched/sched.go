@@ -16,8 +16,8 @@
 // at any moment either the scheduler or exactly one thread is running,
 // so the simulated core's state needs no locking and execution is fully
 // deterministic. The contract that keeps this true is that one goroutine
-// drives a System's threads at a time: Step, StepBranches, Run, Kill
-// and Finished are not safe to call concurrently. A panic in a thread's
+// drives a System's threads at a time: Step, StepBranches, Kill and
+// Finished are not safe to call concurrently. A panic in a thread's
 // function is re-raised on the goroutine that resumed it.
 package sched
 
@@ -34,9 +34,7 @@ import (
 // registry. It hands out hardware contexts with distinct security
 // domains.
 type System struct {
-	model      uarch.Model
 	core       *cpu.Core
-	rnd        *rng.Source
 	nextDomain uint64
 	tel        *telemetry.Set
 	ctr        sysCounters
@@ -55,11 +53,8 @@ type sysCounters struct {
 // NewSystem boots a machine of the given model. All randomness in the
 // machine derives from seed.
 func NewSystem(model uarch.Model, seed uint64) *System {
-	r := rng.New(seed)
 	return &System{
-		model: model,
-		core:  model.NewCore(r.Uint64()),
-		rnd:   r.Split(),
+		core: model.NewCore(rng.New(seed).Uint64()),
 		// Domain 0 is reserved for the kernel; processes start at 1.
 		nextDomain: 1,
 	}
@@ -85,15 +80,8 @@ func (s *System) SetTelemetry(t *telemetry.Set) {
 // Telemetry returns the machine's telemetry set (nil when disabled).
 func (s *System) Telemetry() *telemetry.Set { return s.tel }
 
-// Model returns the machine's microarchitecture model.
-func (s *System) Model() uarch.Model { return s.model }
-
 // Core returns the machine's physical core.
 func (s *System) Core() *cpu.Core { return s.core }
-
-// Rand returns the system's random source (for noise generation and
-// experiment harnesses).
-func (s *System) Rand() *rng.Source { return s.rnd }
 
 // NewProcess allocates a hardware context for a new process. The caller's
 // goroutine runs the process directly; use Spawn for a steppable
@@ -214,12 +202,6 @@ func (t *Thread) StepBranches(k int) bool {
 	return t.step(grant{instr: -1, branches: int64(k)})
 }
 
-// Run lets the thread execute to completion.
-func (t *Thread) Run() {
-	for t.step(grant{instr: -1, branches: -1}) {
-	}
-}
-
 // Kill terminates a suspended thread: the process function unwinds from
 // its pause point, running its deferred calls, and never continues.
 // Killing a finished thread is a no-op. This models the OS reclaiming a
@@ -246,60 +228,4 @@ func (t *Thread) String() string {
 		state = "finished"
 	}
 	return fmt.Sprintf("thread %q (%s)", t.Name, state)
-}
-
-// Interleave runs the given threads in weighted random order until total
-// instructions have been distributed or every thread has finished.
-// weights must parallel threads; a weight of zero disables a thread. It
-// models timesharing of the core among background processes.
-func Interleave(rnd *rng.Source, threads []*Thread, weights []int, total int) {
-	if len(threads) != len(weights) {
-		panic("sched: Interleave weights/threads length mismatch")
-	}
-	sum := 0
-	for _, w := range weights {
-		if w < 0 {
-			panic("sched: negative weight")
-		}
-		sum += w
-	}
-	if sum == 0 {
-		return
-	}
-	const slice = 16 // instructions per mini-quantum
-	var slices *telemetry.Counter
-	for _, t := range threads {
-		if t.tel != nil {
-			slices = t.tel.Counter("sched.interleave_slices")
-			break
-		}
-	}
-	remaining := total
-	alive := len(threads)
-	for remaining > 0 && alive > 0 {
-		// Pick a thread by weight.
-		pick := rnd.Intn(sum)
-		var t *Thread
-		for i, w := range weights {
-			if pick < w {
-				t = threads[i]
-				break
-			}
-			pick -= w
-		}
-		n := slice
-		if n > remaining {
-			n = remaining
-		}
-		slices.Inc()
-		if !t.Step(n) {
-			alive = 0
-			for _, th := range threads {
-				if !th.Finished() {
-					alive++
-				}
-			}
-		}
-		remaining -= n
-	}
 }

@@ -82,18 +82,3 @@ func TestTelemetryDisabledThreads(t *testing.T) {
 	}
 	th.Run()
 }
-
-// TestInterleaveTelemetry checks slice accounting during timesharing.
-func TestInterleaveTelemetry(t *testing.T) {
-	sys := NewSystem(uarch.Skylake(), 2)
-	set := telemetry.New(telemetry.NewRegistry(), nil)
-	sys.SetTelemetry(set)
-	a := sys.Spawn("a", func(ctx *cpu.Context) { ctx.Work(1 << 20) })
-	b := sys.Spawn("b", func(ctx *cpu.Context) { ctx.Work(1 << 20) })
-	defer a.Kill()
-	defer b.Kill()
-	Interleave(sys.Rand(), []*Thread{a, b}, []int{1, 1}, 160)
-	if got := set.Metrics.Counter("sched.interleave_slices").Value(); got != 10 {
-		t.Errorf("sched.interleave_slices = %d, want 10", got)
-	}
-}

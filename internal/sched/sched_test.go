@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"branchscope/internal/bpu"
 	"branchscope/internal/cpu"
 	"branchscope/internal/noise"
-	"branchscope/internal/rng"
 	"branchscope/internal/telemetry"
 	"branchscope/internal/uarch"
 )
@@ -15,15 +15,31 @@ func newSys() *System {
 	return NewSystem(uarch.Skylake(), 1)
 }
 
+// TestNewProcessDistinctDomains: the per-domain predictor mitigations
+// key on a context's domain, so under partitioning a branch one process
+// trains stays cold for a second process and for the kernel's reserved
+// domain 0.
 func TestNewProcessDistinctDomains(t *testing.T) {
-	s := newSys()
+	m := uarch.Skylake()
+	m.BPU.Mitigation = bpu.MitigationPartitioned
+	m.BPU.Domains = 4
+	s := NewSystem(m, 1)
 	a := s.NewProcess("a")
 	b := s.NewProcess("b")
-	if a.Domain() == b.Domain() {
-		t.Error("two processes share a domain")
+	kernel := s.Core().NewContext(0)
+	const addr = 0x4000
+	for i := 0; i < 4; i++ {
+		a.Branch(addr, true)
 	}
-	if a.Domain() == 0 || b.Domain() == 0 {
-		t.Error("process got the reserved kernel domain")
+	for _, c := range []struct {
+		name string
+		ctx  *cpu.Context
+	}{{"a", a}, {"b", b}, {"kernel", kernel}} {
+		before := c.ctx.ReadPMC(cpu.BranchMisses)
+		c.ctx.Branch(addr, true)
+		if missed := c.ctx.ReadPMC(cpu.BranchMisses) != before; missed != (c.name != "a") {
+			t.Errorf("%s: mispredicted=%v after process a trained the branch taken", c.name, missed)
+		}
 	}
 }
 
@@ -141,70 +157,6 @@ func TestThreadsShareCoreBPU(t *testing.T) {
 	}
 }
 
-func TestInterleaveDistributesWork(t *testing.T) {
-	s := newSys()
-	mk := func() func(*cpu.Context) {
-		return func(ctx *cpu.Context) {
-			for {
-				ctx.Nop(0x10)
-			}
-		}
-	}
-	a := s.Spawn("a", mk())
-	b := s.Spawn("b", mk())
-	Interleave(rng.New(7), []*Thread{a, b}, []int{1, 3}, 4000)
-	ia := a.Context().ReadPMC(cpu.Instructions)
-	ib := b.Context().ReadPMC(cpu.Instructions)
-	if ia+ib != 4000 {
-		t.Errorf("total interleaved instructions = %d, want 4000", ia+ib)
-	}
-	if ib <= ia {
-		t.Errorf("weight-3 thread ran %d vs weight-1 thread %d", ib, ia)
-	}
-}
-
-func TestInterleaveStopsWhenAllFinished(t *testing.T) {
-	s := newSys()
-	a := s.Spawn("a", func(ctx *cpu.Context) { ctx.Nop(1) })
-	// Must terminate even though the budget far exceeds the work.
-	Interleave(rng.New(1), []*Thread{a}, []int{1}, 1_000_000)
-	if !a.Finished() {
-		t.Error("thread not finished")
-	}
-}
-
-func TestInterleavePanics(t *testing.T) {
-	s := newSys()
-	a := s.Spawn("a", func(ctx *cpu.Context) { ctx.Nop(1) })
-	defer a.Run()
-	for _, c := range []struct {
-		name    string
-		weights []int
-	}{
-		{"mismatch", []int{1, 2}},
-		{"negative", []int{-1}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("no panic")
-				}
-			}()
-			Interleave(rng.New(1), []*Thread{a}, c.weights, 10)
-		})
-	}
-}
-
-func TestInterleaveZeroWeightNoop(t *testing.T) {
-	s := newSys()
-	a := s.Spawn("a", func(ctx *cpu.Context) { ctx.Nop(1) })
-	Interleave(rng.New(1), []*Thread{a}, []int{0}, 100)
-	if got := a.Context().ReadPMC(cpu.Instructions); got != 0 {
-		t.Errorf("zero-weight thread ran %d instructions", got)
-	}
-	a.Run()
-}
-
 func TestNoiseProcessRunsForever(t *testing.T) {
 	s := newSys()
 	n := s.Spawn("noise", noise.Process(3, noise.DefaultRegion, 1<<16))
@@ -247,11 +199,8 @@ func TestThreadString(t *testing.T) {
 
 func TestSystemAccessors(t *testing.T) {
 	s := newSys()
-	if s.Model().Name != "Skylake" {
-		t.Errorf("Model = %s", s.Model().Name)
-	}
-	if s.Core() == nil || s.Rand() == nil {
-		t.Error("nil accessor")
+	if s.Core() == nil || s.Telemetry() != nil {
+		t.Error("accessor mismatch")
 	}
 }
 

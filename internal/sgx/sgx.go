@@ -45,7 +45,10 @@ type Enclave struct {
 	entries     *telemetry.Counter
 	exits       *telemetry.Counter
 	singleSteps *telemetry.Counter
-	instrSteps  *telemetry.Counter
+	// instrSteps counts page-fault steps. The attacks step enclaves by
+	// branch only; the counter stays registered so metrics exports keep
+	// their shape.
+	instrSteps *telemetry.Counter
 }
 
 // Launch creates an enclave running fn on the system. The returned
@@ -93,23 +96,6 @@ func (e *Enclave) StepBranches(k int) bool {
 	e.aex()
 	return alive
 }
-
-// StepInstructions resumes the enclave for n instructions, then
-// interrupts it (page-fault stepping: the OS unmaps a page to force an
-// exit, §9.2).
-func (e *Enclave) StepInstructions(n int) bool {
-	e.entries.Inc()
-	e.instrSteps.Inc()
-	alive := e.thread.Step(n)
-	e.aex()
-	return alive
-}
-
-// Run lets the enclave execute to completion without interruption.
-func (e *Enclave) Run() { e.thread.Run() }
-
-// Finished reports whether the enclave's entry function returned.
-func (e *Enclave) Finished() bool { return e.thread.Finished() }
 
 // Destroy tears the enclave down (EREMOVE).
 func (e *Enclave) Destroy() { e.thread.Kill() }

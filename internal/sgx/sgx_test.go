@@ -17,7 +17,7 @@ func TestEnclaveStepping(t *testing.T) {
 		}
 	})
 	defer e.Destroy()
-	if e.Finished() {
+	if e.thread.Finished() {
 		t.Fatal("enclave ran before being stepped")
 	}
 	if !e.StepBranches(1) {
@@ -35,8 +35,9 @@ func TestEnclaveRunToCompletion(t *testing.T) {
 		ctx.Branch(0x10, true)
 		done = true
 	})
-	e.Run()
-	if !done || !e.Finished() {
+	for e.StepBranches(1) {
+	}
+	if !done || !e.thread.Finished() {
 		t.Error("enclave did not complete")
 	}
 }

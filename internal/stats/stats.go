@@ -1,11 +1,10 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: moments, histograms, Hamming distances (for the PHT
-// size discovery of §6.3), error rates and frequency tables.
+// experiment harness: moments, Hamming distances (for the PHT size
+// discovery of §6.3), error rates and frequency tables.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -21,21 +20,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs, or 0 when fewer
-// than two samples are present.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // MeanUint64 returns the mean of unsigned samples as a float64.
 func MeanUint64(xs []uint64) float64 {
 	if len(xs) == 0 {
@@ -46,19 +30,6 @@ func MeanUint64(xs []uint64) float64 {
 		s += float64(x)
 	}
 	return s / float64(len(xs))
-}
-
-// StdDevUint64 returns the population standard deviation of unsigned
-// samples.
-func StdDevUint64(xs []uint64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return StdDev(fs)
 }
 
 // Median returns the median of xs (the mean of the two central elements
@@ -149,51 +120,6 @@ func Mode[T comparable](xs []T) (T, float64) {
 	return best, float64(bestN) / float64(len(xs))
 }
 
-// Histogram is a fixed-bin histogram over float64 samples.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	// Under and Over count samples falling outside [Min, Max).
-	Under, Over int
-	total       int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over
-// [min, max). It panics on a degenerate range or bin count.
-func NewHistogram(min, max float64, bins int) *Histogram {
-	if bins <= 0 || max <= min {
-		panic("stats: degenerate histogram")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Min:
-		h.Under++
-	case x >= h.Max:
-		h.Over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // guard FP edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range
-// ones.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*w
-}
-
 // Summary holds the first two moments of a sample set, convenient for
 // rendering "mean ± stddev" rows.
 type Summary struct {
@@ -202,35 +128,6 @@ type Summary struct {
 	StdDev float64
 	Min    float64
 	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Mean = Mean(xs)
-	s.StdDev = StdDev(xs)
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	return s
-}
-
-// SummarizeUint64 computes a Summary of unsigned samples.
-func SummarizeUint64(xs []uint64) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
 }
 
 // String renders the summary as "mean ± stddev (n=N)".

@@ -8,10 +8,10 @@ import "math"
 // sum-of-squares accumulator suffers on large cycle counts. The zero
 // value is an empty accumulator ready for Add.
 //
-// It replaces the buffer-then-Summarize pattern in sample loops whose
-// populations are large (the Figure 7/9 latency characterizations
-// collect 10^5 samples per case) and backs the leakage estimators,
-// which must run online per attack window.
+// It serves sample loops whose populations are too large to buffer
+// (the Figure 7/9 latency characterizations collect 10^5 samples per
+// case) and backs the leakage estimators, which must run online per
+// attack window.
 type Welford struct {
 	n        uint64
 	mean, m2 float64
@@ -65,8 +65,8 @@ func (w *Welford) N() uint64 { return w.n }
 // Mean returns the running mean (0 when empty).
 func (w *Welford) Mean() float64 { return w.mean }
 
-// Variance returns the population variance, matching StdDev's
-// convention (0 with fewer than two samples).
+// Variance returns the population variance (0 with fewer than two
+// samples).
 func (w *Welford) Variance() float64 {
 	if w.n < 2 {
 		return 0
@@ -93,8 +93,7 @@ func (w *Welford) Max() float64 {
 	return w.max
 }
 
-// Summary renders the accumulator in the Summarize shape, so streaming
-// call sites keep the same reporting types as buffering ones.
+// Summary renders the accumulator as a Summary.
 func (w *Welford) Summary() Summary {
 	return Summary{
 		N:      int(w.n),

@@ -7,6 +7,30 @@ import (
 
 func within(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// Summarize is the two-pass oracle Welford replaces: the mean, population
+// standard deviation, min and max of buffered samples.
+func Summarize(xs []float64) Summary {
+	s := Summary{N: len(xs)}
+	if len(xs) == 0 {
+		return s
+	}
+	s.Mean = Mean(xs)
+	s.Min, s.Max = xs[0], xs[0]
+	var ss float64
+	for _, x := range xs {
+		d := x - s.Mean
+		ss += d * d
+		if x < s.Min {
+			s.Min = x
+		}
+		if x > s.Max {
+			s.Max = x
+		}
+	}
+	s.StdDev = math.Sqrt(ss / float64(len(xs)))
+	return s
+}
+
 // TestWelfordMatchesSummarize pins the contract that lets Welford
 // replace the buffer-then-Summarize pattern: identical N, mean,
 // population stddev, min and max on the same samples.

@@ -91,9 +91,9 @@ func openJournal(path string) (*durable.Appender, []recoveredJob, error) {
 
 // replayJournal folds the journal's records, as durable.Heal read
 // them, into per-job recovery state. The first record must be the
-// header, like campaign.Load's.
+// header, like campaign.Load's, and the only one.
 func replayJournal(recs []durable.Record) ([]recoveredJob, error) {
-	if recs[0].Kind != kindHeader {
+	if len(recs) == 0 || recs[0].Kind != kindHeader {
 		return nil, errors.New("svc: journal has no header")
 	}
 	var h svcHeader

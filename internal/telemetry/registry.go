@@ -182,14 +182,6 @@ func (h *Histogram) Observe(v uint64) {
 	}
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // CounterSnapshot is one counter in a Snapshot.
 type CounterSnapshot struct {
 	Name  string `json:"name"`

@@ -87,7 +87,8 @@ func TestRecorderComposesWithSchedulerHook(t *testing.T) {
 	if got := rec.Summary().Branches; got != 2 {
 		t.Errorf("after StepBranches(2): recorded %d branches", got)
 	}
-	th.Run()
+	for th.Step(1 << 10) {
+	}
 	if got := rec.Summary().Branches; got != 6 {
 		t.Errorf("after Run: recorded %d branches", got)
 	}

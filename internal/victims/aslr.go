@@ -9,35 +9,12 @@ import "branchscope/internal/cpu"
 // same derandomization idea previously demonstrated with the BTB, which
 // §9.2 notes no longer works on recent parts.
 
-// ASLRVictim is a process with one heavily biased branch at a randomized
-// secret address.
-type ASLRVictim struct {
-	// SecretAddr is the randomized branch address the attacker wants.
-	SecretAddr uint64
-}
-
-// NewASLRVictim places the victim branch at slide+offset. In a real
-// loader the slide is page-aligned with limited entropy; the attacker
-// scans the possible slide values.
-func NewASLRVictim(slide, offset uint64) *ASLRVictim {
-	return &ASLRVictim{SecretAddr: slide + offset}
-}
-
-// Process returns the victim's main loop: it executes its branch,
-// always taken (a loop back-edge), forever.
-func (v *ASLRVictim) Process() func(*cpu.Context) {
-	return func(ctx *cpu.Context) {
-		for {
-			ctx.Work(5)
-			ctx.Branch(v.SecretAddr, true)
-		}
-	}
-}
-
 // MultiBranchASLRProcess is a victim binary with several known branch
-// sites: each loop iteration executes one always-taken branch at
-// slide+offset for every offset. The offsets are knowable from the binary
-// (the attacker has a copy); the slide is the ASLR secret.
+// sites: each loop iteration executes one always-taken branch (a loop
+// back-edge) at slide+offset for every offset. The offsets are knowable
+// from the binary (the attacker has a copy); the slide is the ASLR
+// secret. In a real loader the slide is page-aligned with limited
+// entropy; the attacker scans the possible slide values.
 func MultiBranchASLRProcess(slide uint64, offsets []uint64) func(*cpu.Context) {
 	return func(ctx *cpu.Context) {
 		for {

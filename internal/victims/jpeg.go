@@ -131,47 +131,6 @@ func idct1Point(dc float64) float64 {
 	return dc / (2 * math.Sqrt2)
 }
 
-// FDCT computes the forward 8×8 DCT of spatial samples — used by tests to
-// round-trip the victim's transform.
-func FDCT(px *[8][8]float64) *Block {
-	var freq [8][8]float64
-	// Column pass then row pass of the 1-D forward transform.
-	for c := 0; c < 8; c++ {
-		var col [8]float64
-		for r := 0; r < 8; r++ {
-			col[r] = px[r][c]
-		}
-		out := fdct1D(col)
-		for r := 0; r < 8; r++ {
-			freq[r][c] = out[r]
-		}
-	}
-	var b Block
-	for r := 0; r < 8; r++ {
-		out := fdct1D(freq[r])
-		for c := 0; c < 8; c++ {
-			b[r][c] = int32(math.Round(out[c]))
-		}
-	}
-	return &b
-}
-
-func fdct1D(in [8]float64) [8]float64 {
-	var out [8]float64
-	for u := 0; u < 8; u++ {
-		cu := 1.0
-		if u == 0 {
-			cu = 1 / math.Sqrt2
-		}
-		sum := 0.0
-		for x := 0; x < 8; x++ {
-			sum += in[x] * math.Cos((2*float64(x)+1)*float64(u)*math.Pi/16)
-		}
-		out[u] = cu * sum / 2
-	}
-	return out
-}
-
 // IDCTProcess decodes a stream of blocks forever (a decoder service),
 // appending results through out when non-nil.
 func IDCTProcess(blocks []Block, out *[]*[8][8]float64) func(*cpu.Context) {

@@ -27,7 +27,8 @@ func TestSecretArraySenderBranchStream(t *testing.T) {
 			t.Fatalf("after %d steps: %d branches", i+1, got)
 		}
 	}
-	th.Run()
+	for th.Step(1 << 16) {
+	}
 	if got := th.Context().ReadPMC(cpu.BranchInstructions); got != uint64(len(secret)) {
 		t.Errorf("total branches = %d, want %d", got, len(secret))
 	}
@@ -190,7 +191,8 @@ func TestIDCTBranchDirectionsMatchZeroStructure(t *testing.T) {
 			t.Fatalf("ground truth broken for row %d", r)
 		}
 	}
-	th.Run()
+	for th.Step(1 << 16) {
+	}
 	if got := th.Context().ReadPMC(cpu.BranchInstructions); got != 16 {
 		t.Errorf("IDCT executed %d branches, want 16", got)
 	}
@@ -208,13 +210,11 @@ func TestColumnRowAddrsDistinct(t *testing.T) {
 	}
 }
 
+// TestASLRVictim drives the ASLR victim with a single branch site.
 func TestASLRVictim(t *testing.T) {
 	sys := newSys()
-	v := NewASLRVictim(0x5540_0000, 0x1234)
-	if v.SecretAddr != 0x5540_1234 {
-		t.Errorf("SecretAddr = %#x", v.SecretAddr)
-	}
-	th := sys.Spawn("v", v.Process())
+	const secretAddr = 0x5540_1234
+	th := sys.Spawn("v", MultiBranchASLRProcess(0x5540_0000, []uint64{0x1234}))
 	defer th.Kill()
 	th.StepBranches(3)
 	if got := th.Context().ReadPMC(cpu.BranchInstructions); got != 3 {
@@ -224,7 +224,7 @@ func TestASLRVictim(t *testing.T) {
 	// shared PHT predicts a spy branch at the same address as taken.
 	spy := sys.NewProcess("spy")
 	before := spy.ReadPMC(cpu.BranchMisses)
-	spy.Branch(v.SecretAddr, true)
+	spy.Branch(secretAddr, true)
 	if spy.ReadPMC(cpu.BranchMisses) != before {
 		t.Error("spy at secret address mispredicted: no collision")
 	}
@@ -445,4 +445,45 @@ func TestMultiBranchASLRProcessExecutesAllOffsets(t *testing.T) {
 			t.Errorf("no collision at offset %#x", off)
 		}
 	}
+}
+
+// FDCT computes the forward 8×8 DCT of spatial samples, to round-trip
+// the victim's transform.
+func FDCT(px *[8][8]float64) *Block {
+	var freq [8][8]float64
+	// Column pass then row pass of the 1-D forward transform.
+	for c := 0; c < 8; c++ {
+		var col [8]float64
+		for r := 0; r < 8; r++ {
+			col[r] = px[r][c]
+		}
+		out := fdct1D(col)
+		for r := 0; r < 8; r++ {
+			freq[r][c] = out[r]
+		}
+	}
+	var b Block
+	for r := 0; r < 8; r++ {
+		out := fdct1D(freq[r])
+		for c := 0; c < 8; c++ {
+			b[r][c] = int32(math.Round(out[c]))
+		}
+	}
+	return &b
+}
+
+func fdct1D(in [8]float64) [8]float64 {
+	var out [8]float64
+	for u := 0; u < 8; u++ {
+		cu := 1.0
+		if u == 0 {
+			cu = 1 / math.Sqrt2
+		}
+		sum := 0.0
+		for x := 0; x < 8; x++ {
+			sum += in[x] * math.Cos((2*float64(x)+1)*float64(u)*math.Pi/16)
+		}
+		out[u] = cu * sum / 2
+	}
+	return out
 }

@@ -20,12 +20,15 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 
 // runGuardrails enables the timing half of the three guardrails
 // (TestHotpathGuardrail, TestParallelSpeedupGuardrail,
-// TestTelemetryOverheadGuardrail). It measures wall time and rewrites
-// the tracked BENCH_*.json, so a plain `go test ./...` leaves it out;
-// CI's bench steps pass the flag:
+// TestTelemetryOverheadGuardrail), which measure wall time and rewrite
+// the tracked BENCH_*.json, and the link audit of
+// TestEveryFunctionIsLinked, which builds every program. A plain
+// `go test ./...` leaves both out; CI's bench and audit steps pass the
+// flag:
 //
 //	go test -run TestHotpathGuardrail -v . -guardrails
-var runGuardrails = flag.Bool("guardrails", false, "run the timing guardrails and rewrite BENCH_*.json")
+//	go test -run '^TestEveryFunctionIsLinked$' -v . -guardrails
+var runGuardrails = flag.Bool("guardrails", false, "run the timing guardrails (rewriting BENCH_*.json) and the link audit")
 
 // timeGuardrail reports whether a guardrail should measure and write
 // its BENCH_*.json: only with -guardrails, and never in -short mode or
