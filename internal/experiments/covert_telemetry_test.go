@@ -3,11 +3,42 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"branchscope/internal/telemetry"
 	"branchscope/internal/uarch"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// checkGolden compares got against the golden file, rewriting it first
+// under -update. A mismatch quotes both sides around the first
+// differing byte.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	lo := max(i-80, 0)
+	t.Errorf("%s drifted at byte %d (run with -update if intentional):\ngot:  …%s\nwant: …%s",
+		golden, i, got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
+}
 
 func covertTelemetryRun(t *testing.T, seed uint64) (*telemetry.Set, CovertResult) {
 	t.Helper()
@@ -94,7 +125,11 @@ func TestCovertTelemetryContent(t *testing.T) {
 }
 
 // TestCovertTelemetryDeterministic pins the acceptance criterion: two
-// runs with the same seed export byte-identical metrics and trace JSON.
+// runs with the same seed export byte-identical metrics and trace JSON,
+// and both match the committed goldens, so a change that shifts any
+// simulated cycle count fails here. Regenerate with
+// `go test ./internal/experiments -run CovertTelemetryDeterministic -update`
+// only after an intentional change to simulated results.
 func TestCovertTelemetryDeterministic(t *testing.T) {
 	export := func() ([]byte, []byte) {
 		set, _ := covertTelemetryRun(t, 3)
@@ -115,6 +150,8 @@ func TestCovertTelemetryDeterministic(t *testing.T) {
 	if !bytes.Equal(t1, t2) {
 		t.Error("trace JSON differs across identical runs")
 	}
+	checkGolden(t, filepath.Join("testdata", "covert_metrics.golden.json"), m1)
+	checkGolden(t, filepath.Join("testdata", "covert_trace.golden.json"), t1)
 }
 
 // TestCovertSGXTelemetry checks the enclave counters and AEX spans.

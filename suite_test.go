@@ -93,7 +93,11 @@ func TestSuiteDeterminismFastSubset(t *testing.T) {
 }
 
 // TestQuickSuiteDeterministicAcrossParallelism runs the FULL quick suite
-// twice — the acceptance criterion behind `cmd/experiments -quick`.
+// twice — the acceptance criterion behind `cmd/experiments -quick` — and
+// pins the sequential run's -json export (wall time zeroed) to
+// testdata/suite_quick.golden.json. Regenerate with
+// `go test -run QuickSuiteDeterministic -update .` only after an
+// intentional change to simulated results.
 func TestQuickSuiteDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick suite takes ~25s per parallelism level")
@@ -110,6 +114,7 @@ func TestQuickSuiteDeterministicAcrossParallelism(t *testing.T) {
 	if n := engine.Failed(seqReports); n != 0 {
 		t.Errorf("%d experiments failed:\n%s", n, seq)
 	}
+	checkGolden(t, filepath.Join("testdata", "suite_quick.golden.json"), goldenExport(t, seqReports))
 }
 
 // TestSuitePanickingExperimentIsolated injects a deliberately panicking
@@ -156,15 +161,7 @@ func TestSuiteJSONGoldenExport(t *testing.T) {
 	tasks := tasksByID(t, []string{"table1", "fig6"})
 	r := &engine.Runner{}
 	reports := r.RunSuite(context.Background(), tasks, engine.Config{Quick: true, Seed: 1})
-	for i := range reports {
-		reports[i].Wall = 0 // the one nondeterministic export field
-	}
-	var buf bytes.Buffer
-	if err := engine.WriteJSON(&buf, engine.ExportMeta{BaseSeed: 1, Quick: true}, reports); err != nil {
-		t.Fatal(err)
-	}
-
-	checkGolden(t, filepath.Join("testdata", "suite_export.golden.json"), buf.Bytes())
+	checkGolden(t, filepath.Join("testdata", "suite_export.golden.json"), goldenExport(t, reports))
 }
 
 // simGoldenIDs covers every simulator draw the per-branch step makes:
@@ -182,6 +179,13 @@ func TestSuiteSimulatorGoldenExport(t *testing.T) {
 	tasks := tasksByID(t, simGoldenIDs)
 	r := &engine.Runner{}
 	reports := r.RunSuite(context.Background(), tasks, engine.Config{Quick: true, Seed: 1})
+	checkGolden(t, filepath.Join("testdata", "suite_sim.golden.json"), goldenExport(t, reports))
+}
+
+// goldenExport renders a seed-1 quick suite's -json export with wall
+// time, the one nondeterministic export field, zeroed.
+func goldenExport(t *testing.T, reports []engine.Report) []byte {
+	t.Helper()
 	for i := range reports {
 		reports[i].Wall = 0
 	}
@@ -189,7 +193,7 @@ func TestSuiteSimulatorGoldenExport(t *testing.T) {
 	if err := engine.WriteJSON(&buf, engine.ExportMeta{BaseSeed: 1, Quick: true}, reports); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, filepath.Join("testdata", "suite_sim.golden.json"), buf.Bytes())
+	return buf.Bytes()
 }
 
 // checkGolden compares got against the golden file, rewriting it first
