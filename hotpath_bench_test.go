@@ -168,9 +168,16 @@ func BenchmarkHotpathSerial(b *testing.B) {
 
 // BenchmarkHotpathBatched measures the live batched ExecPlan path: the
 // working set compiled once, executed b.N/hotpathSites times. ns/op is
-// per branch, like the other two.
+// per branch, like the other two. The timed input is the one the
+// guardrail gates; the clockless input is the same path on a core with
+// no clock (no icache model, no timing draws), for comparison.
 func BenchmarkHotpathBatched(b *testing.B) {
-	mach := uarch.Skylake().NewCore(42)
+	b.Run("timed", func(b *testing.B) { benchHotpathBatched(b, uarch.Skylake()) })
+	b.Run("clockless", func(b *testing.B) { benchHotpathBatched(b, uarch.Skylake().Clockless()) })
+}
+
+func benchHotpathBatched(b *testing.B, m uarch.Model) {
+	mach := m.NewCore(42)
 	ctx := mach.NewContext(1)
 	plan := ctx.NewPlan(hotpathSites)
 	for i := 0; i < hotpathSites; i++ {
@@ -272,7 +279,7 @@ func TestHotpathGuardrail(t *testing.T) {
 
 	legacy := testing.Benchmark(BenchmarkHotpathLegacy)
 	serial := testing.Benchmark(BenchmarkHotpathSerial)
-	batched := testing.Benchmark(BenchmarkHotpathBatched)
+	batched := testing.Benchmark(func(b *testing.B) { benchHotpathBatched(b, uarch.Skylake()) })
 
 	legacyNs := float64(legacy.T.Nanoseconds()) / float64(legacy.N)
 	serialNs := float64(serial.T.Nanoseconds()) / float64(serial.N)

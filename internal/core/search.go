@@ -135,15 +135,19 @@ func FindBlock(ctx *cpu.Context, r *rng.Source, cfg SearchConfig, desired StateC
 		candidates.Inc()
 		a := AnalyzeBlock(ctx, b, cfg)
 		if a.Stable && a.State == desired {
-			tel.Counter("core.search.found").Inc()
-			tel.Span(ctx.TID(), "attack", "block-search", start, ctx.Core().Clock(),
-				map[string]any{"candidates": i + 1, "state": desired.String()})
+			if tel != nil {
+				tel.Counter("core.search.found").Inc()
+				tel.Span(ctx.TID(), "attack", "block-search", start, ctx.Core().Clock(),
+					map[string]any{"candidates": i + 1, "state": desired.String()})
+			}
 			return b, a, nil
 		}
 	}
-	tel.Counter("core.search.exhausted").Inc()
-	tel.Span(ctx.TID(), "attack", "block-search", start, ctx.Core().Clock(),
-		map[string]any{"candidates": maxCandidates, "state": "none"})
+	if tel != nil {
+		tel.Counter("core.search.exhausted").Inc()
+		tel.Span(ctx.TID(), "attack", "block-search", start, ctx.Core().Clock(),
+			map[string]any{"candidates": maxCandidates, "state": "none"})
+	}
 	return nil, BlockAnalysis{}, fmt.Errorf(
 		"core: no stable randomization block reaching state %v in %d candidates (target %#x)",
 		desired, maxCandidates, cfg.TargetAddr)

@@ -58,7 +58,8 @@ func (e Event) String() string {
 // calibrated so the TSC-observable distributions have the shape of the
 // paper's Figures 7–9 (measured hit latency near 90 cycles, miss near
 // 140, noisy first executions); they are not claimed to match any
-// specific silicon.
+// specific silicon. The zero Timing builds a clockless core (see
+// NewCore).
 type Timing struct {
 	// BaseInstr is the cycle cost of a non-branch instruction.
 	BaseInstr uint64
@@ -123,15 +124,23 @@ type icacheEntry struct {
 // Core is one simulated physical core: a cycle clock, a branch prediction
 // unit shared by its hardware contexts, and an instruction cache. Cores
 // are not safe for concurrent use; the scheduler serializes contexts.
+//
+// A clockless core has the branch prediction unit only: it predicts,
+// counts and delivers retire hooks exactly like a timed core, but keeps
+// no clock, so it skips the icache model and the timing draws.
 type Core struct {
 	bpuUnit *bpu.Unit
 	timing  Timing
 	clock   uint64
 	icache  [ICacheLines]icacheEntry
-	rnd     *rng.Source
 	faults  ReadFaults
 	tel     *telemetry.Set
 	ctr     coreCounters
+
+	// rnd feeds the timing draws (icache-miss latency, jitter, spikes)
+	// and nothing else. It is nil on a clockless core, which makes none
+	// of them.
+	rnd *rng.Source
 
 	// jit is the half-normal timing-noise sampler built once from
 	// Timing.JitterSigma (Timing is fixed at construction, so it never
@@ -176,15 +185,24 @@ type coreCounters struct {
 	icacheMisses *telemetry.Counter
 }
 
-// NewCore builds a core around a BPU configuration.
+// NewCore builds a core around a BPU configuration. A zero timing builds
+// a clockless core, for machines whose code never reads the clock: its
+// ReadTSC, Clock and SetTelemetry(non-nil) panic (DESIGN §3.5).
 func NewCore(cfg bpu.Config, timing Timing, seed uint64) *Core {
-	return &Core{
-		bpuUnit:  bpu.New(cfg),
-		timing:   timing,
-		rnd:      rng.New(seed),
-		jit:      newHalfNormal(timing.JitterSigma),
-		spikeThr: quantizeProb(timing.SpikeProb),
+	c := &Core{bpuUnit: bpu.New(cfg), timing: timing}
+	if timing != (Timing{}) {
+		c.rnd = rng.New(seed)
+		c.jit = newHalfNormal(timing.JitterSigma)
+		c.spikeThr = quantizeProb(timing.SpikeProb)
 	}
+	return c
+}
+
+// panicClockless rejects a clock read on a clockless core: a wrongly
+// declared machine fails loudly instead of reading zeros.
+func panicClockless(op string) {
+	panic("cpu: " + op + " on a clockless core: only a core built from a nonzero Timing " +
+		"keeps a cycle clock, so code that reads it (rdtscp, telemetry spans, trace.Recorder) needs a timed model")
 }
 
 // quantizeProb maps a probability to a 64-bit acceptance threshold:
@@ -279,7 +297,12 @@ func buildJitterTab(sigma float64) []uint64 {
 // Call it before creating contexts: a context captures its per-context
 // instrument handles at creation time. Disabled telemetry costs one
 // inlined nil check per retired operation, keeping hot paths intact.
+// Telemetry spans read the clock, so a non-nil set on a clockless core
+// panics.
 func (c *Core) SetTelemetry(t *telemetry.Set) {
+	if t != nil && c.rnd == nil {
+		panicClockless("SetTelemetry")
+	}
 	c.tel = t
 	c.ctr = coreCounters{
 		instructions: t.Counter("cpu.instructions"),
@@ -300,8 +323,13 @@ func (c *Core) Telemetry() *telemetry.Set { return c.tel }
 // mitigation configuration (MarkSensitive). Attack code must not use it.
 func (c *Core) BPU() *bpu.Unit { return c.bpuUnit }
 
-// Clock returns the current cycle count.
-func (c *Core) Clock() uint64 { return c.clock }
+// Clock returns the current cycle count. It panics on a clockless core.
+func (c *Core) Clock() uint64 {
+	if c.rnd == nil {
+		panicClockless("Clock")
+	}
+	return c.clock
+}
 
 // icacheAccess models one instruction fetch: returns the extra cycles
 // charged (zero on a hit).
@@ -351,12 +379,11 @@ type Snapshot struct {
 
 // Snapshot returns a deep copy of core state.
 func (c *Core) Snapshot() *Snapshot {
-	return &Snapshot{
-		bpu:    c.bpuUnit.Snapshot(),
-		clock:  c.clock,
-		icache: c.icache,
-		rnd:    *c.rnd,
+	s := &Snapshot{bpu: c.bpuUnit.Snapshot(), clock: c.clock, icache: c.icache}
+	if c.rnd != nil {
+		s.rnd = *c.rnd
 	}
+	return s
 }
 
 // Restore reinstates a snapshot taken from this core.
@@ -364,7 +391,9 @@ func (c *Core) Restore(s *Snapshot) {
 	c.bpuUnit.Restore(s.bpu)
 	c.clock = s.clock
 	c.icache = s.icache
-	*c.rnd = s.rnd
+	if c.rnd != nil {
+		*c.rnd = s.rnd
+	}
 }
 
 // Hook observes retired operations on a context; the scheduler uses it to
@@ -442,11 +471,14 @@ func (x *Context) BranchTo(addr uint64, taken bool, target uint64) {
 
 // branchSite executes one branch through a previously resolved site: the
 // shared serial execution path behind BranchTo, ResolvedBranch and the
-// hooked ExecPlan fallback.
+// hooked ExecPlan fallback. A clockless core skips the cost model.
 func (x *Context) branchSite(s *bpu.Site, taken bool, target uint64) {
 	c := x.core
-	cost := c.timing.BranchBase
-	cost += c.icacheAccess(x.domain, s.Addr())
+	timed := c.rnd != nil
+	var cost uint64
+	if timed {
+		cost = c.timing.BranchBase + c.icacheAccess(x.domain, s.Addr())
+	}
 	predicted, btbHit, allocated := c.bpuUnit.Exec(s, taken, target)
 	if predicted != taken {
 		cost += c.timing.MispredictPenalty
@@ -461,8 +493,9 @@ func (x *Context) branchSite(s *bpu.Site, taken bool, target uint64) {
 		x.pmc[BranchAllocations]++
 		c.ctr.allocations.Inc()
 	}
-	cost += c.jitter()
-	c.clock += cost
+	if timed {
+		c.clock += cost + c.jitter()
+	}
 	x.pmc[Instructions]++
 	x.pmc[BranchInstructions]++
 	c.ctr.instructions.Inc()
@@ -512,8 +545,9 @@ func (x *Context) BranchRepeat(addr uint64, taken bool, n int) {
 // branch addresses — the Listing 1 randomization trick).
 func (x *Context) Nop(addr uint64) {
 	c := x.core
-	cost := c.timing.BaseInstr + c.icacheAccess(x.domain, addr)
-	c.clock += cost
+	if c.rnd != nil {
+		c.clock += c.timing.BaseInstr + c.icacheAccess(x.domain, addr)
+	}
 	x.pmc[Instructions]++
 	c.ctr.instructions.Inc()
 	x.retire(false)
@@ -524,18 +558,25 @@ func (x *Context) Nop(addr uint64) {
 // instruction counter.
 func (x *Context) Work(n uint64) {
 	c := x.core
+	timed := c.rnd != nil
 	c.ctr.instructions.Add(n)
 	for i := uint64(0); i < n; i++ {
-		c.clock += c.timing.BaseInstr
+		if timed {
+			c.clock += c.timing.BaseInstr
+		}
 		x.pmc[Instructions]++
 		x.retire(false)
 	}
 }
 
 // ReadTSC reads the timestamp counter (rdtscp): it returns the core cycle
-// clock and charges the serialization overhead.
+// clock and charges the serialization overhead. It panics on a clockless
+// core.
 func (x *Context) ReadTSC() uint64 {
 	c := x.core
+	if c.rnd == nil {
+		panicClockless("ReadTSC")
+	}
 	c.clock += c.timing.TSCOverhead
 	if f := c.faults.TSCExtra; f != nil {
 		c.clock += f()

@@ -1,11 +1,15 @@
 package cpu
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"branchscope/internal/bpu"
 	"branchscope/internal/fsm"
+	"branchscope/internal/telemetry"
 )
 
 // Property tests over random operation sequences: the architectural
@@ -31,17 +35,18 @@ func opSeq(core *Core, script []byte) *Context {
 	return ctx
 }
 
-func propCore(seed uint64) *Core {
-	return NewCore(bpu.Config{
-		FSM:          fsm.SkylakeAsym(),
-		PHTSize:      512,
-		SelectorSize: 128,
-		GHRBits:      12,
-		TagEntries:   128,
-		BTBEntries:   128,
-		Mode:         bpu.Hybrid,
-	}, DefaultTiming(), seed)
+// propBPU is the small predictor the properties run against.
+var propBPU = bpu.Config{
+	FSM:          fsm.SkylakeAsym(),
+	PHTSize:      512,
+	SelectorSize: 128,
+	GHRBits:      12,
+	TagEntries:   128,
+	BTBEntries:   128,
+	Mode:         bpu.Hybrid,
 }
+
+func propCore(seed uint64) *Core { return NewCore(propBPU, DefaultTiming(), seed) }
 
 // Property: the cycle clock never decreases and every retired instruction
 // advances the instruction counter by exactly one (Work(n) by n).
@@ -111,6 +116,85 @@ func TestQuickSnapshotReplayIdentical(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Property: a clockless core is a timed core without the clock. Fed the
+// same script of Branch, BranchTo, Nop, Work and ExecPlan.Run, with and
+// without a retire hook, both end with equal PMCs and predictor state
+// and deliver the same hook sequence.
+func TestQuickClocklessMatchesTimed(t *testing.T) {
+	run := func(timing Timing, seed uint64, script []byte, hooked bool) ([numEvents]uint64, *bpu.Snapshot, []bool) {
+		core := NewCore(propBPU, timing, seed)
+		ctx := core.NewContext(1)
+		var hooks []bool
+		if hooked {
+			ctx.SetHook(func(isBranch bool) { hooks = append(hooks, isBranch) })
+		}
+		// The plan grows with the script, so each Run replays every op
+		// appended so far: batched (or hooked) execution of a mix.
+		plan := ctx.NewPlan(0)
+		for i, b := range script {
+			addr := uint64(0x1000 + int(b)*33 + i)
+			taken := b&8 != 0
+			switch b % 5 {
+			case 0:
+				ctx.Branch(addr, taken)
+			case 1:
+				ctx.BranchTo(addr, taken, addr+uint64(b)*64)
+			case 2:
+				ctx.Nop(addr)
+			case 3:
+				ctx.Work(uint64(b % 5))
+			case 4:
+				if b&16 != 0 {
+					plan.Branch(addr, taken)
+				} else {
+					plan.Nop(addr)
+				}
+				plan.Run()
+			}
+		}
+		return ctx.pmc, core.BPU().Snapshot(), hooks
+	}
+	f := func(seed uint64, script []byte) bool {
+		for _, hooked := range []bool{false, true} {
+			pt, bt, ht := run(DefaultTiming(), seed, script, hooked)
+			pc, bc, hc := run(Timing{}, seed, script, hooked)
+			if pt != pc || !reflect.DeepEqual(bt, bc) || !reflect.DeepEqual(ht, hc) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestClocklessCoreRejectsClockReads pins the other half of the
+// contract: every read of the clock on a clockless core panics, naming
+// the rule, so a machine wrongly built clockless fails instead of
+// reporting zero cycles.
+func TestClocklessCoreRejectsClockReads(t *testing.T) {
+	core := NewCore(propBPU, Timing{}, 1)
+	ctx := core.NewContext(1)
+	reads := map[string]func(){
+		"ReadTSC":      func() { ctx.ReadTSC() },
+		"Clock":        func() { core.Clock() },
+		"SetTelemetry": func() { core.SetTelemetry(telemetry.New(telemetry.NewRegistry(), nil)) },
+	}
+	for name, read := range reads {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, name+" on a clockless core") {
+					t.Errorf("%s on a clockless core: recovered %q, want a panic naming the rule", name, msg)
+				}
+			}()
+			read()
+		}()
+	}
+	core.SetTelemetry(nil) // detaching needs no clock
 }
 
 // Property: two cores built from the same seed behave identically under

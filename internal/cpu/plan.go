@@ -71,8 +71,12 @@ func (p *ExecPlan) Nop(addr uint64) {
 // Run executes the compiled ops in order.
 func (p *ExecPlan) Run() {
 	x := p.x
-	if x.hook != nil {
+	switch {
+	case x.hook != nil:
 		p.runHooked()
+		return
+	case x.core.rnd == nil:
+		p.runClockless()
 		return
 	}
 	c := x.core
@@ -116,6 +120,34 @@ func (p *ExecPlan) Run() {
 	c.ctr.allocations.Add(allocs)
 	c.ctr.btbMisses.Add(btbMiss)
 	c.ctr.icacheMisses.Add(icMiss)
+}
+
+// runClockless is Run on a clockless core: the predictor steps and PMC
+// counts of the timed loop without the icache model, the timing draws
+// and the clock. A clockless core carries no telemetry, so there are no
+// counters to flush.
+func (p *ExecPlan) runClockless() {
+	x := p.x
+	u := x.core.bpuUnit
+	var branches, misses, allocs uint64
+	for i := range p.ops {
+		op := &p.ops[i]
+		if !op.branch {
+			continue
+		}
+		predicted, _, allocated := u.Exec(&op.site, op.taken, op.target)
+		if predicted != op.taken {
+			misses++
+		}
+		if allocated {
+			allocs++
+		}
+		branches++
+	}
+	x.pmc[Instructions] += uint64(len(p.ops))
+	x.pmc[BranchInstructions] += branches
+	x.pmc[BranchMisses] += misses
+	x.pmc[BranchAllocations] += allocs
 }
 
 // runHooked is the faithful per-op path for contexts with a retire hook

@@ -65,7 +65,7 @@ func RunMontgomery(ctx context.Context, cfg MontgomeryConfig) (MontgomeryExpResu
 			exp.SetBit(exp, i, 1)
 		}
 	}
-	sys := sched.NewSystem(cfg.Model, r.Uint64())
+	sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 	res, err := attacks.RecoverMontgomeryExponent(sys, exp, cfg.Majority, r.Uint64())
 	if err != nil {
 		return MontgomeryExpResult{}, fmt.Errorf("experiments: montgomery attack setup: %w", err)
@@ -142,7 +142,7 @@ func RunJPEG(ctx context.Context, cfg JPEGConfig) (JPEGExpResult, error) {
 			blocks[i][r.Intn(8)][r.Intn(8)] = int32(r.Intn(40) - 20)
 		}
 	}
-	sys := sched.NewSystem(cfg.Model, r.Uint64())
+	sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 	res, err := attacks.RecoverJPEGStructure(sys, blocks, r.Uint64())
 	if err != nil {
 		return JPEGExpResult{}, fmt.Errorf("experiments: jpeg attack setup: %w", err)
@@ -150,7 +150,7 @@ func RunJPEG(ctx context.Context, cfg JPEGConfig) (JPEGExpResult, error) {
 	if err := ctx.Err(); err != nil {
 		return JPEGExpResult{}, fmt.Errorf("experiments: jpeg: %w", err)
 	}
-	sys2 := sched.NewSystem(cfg.Model, r.Uint64())
+	sys2 := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 	allowST := cfg.Model.BPU.FSM.States == 4 // ST decode is ambiguous on the Skylake FSM
 	multi, err := attacks.RecoverJPEGStructureMulti(sys2, blocks, allowST, r.Uint64())
 	if err != nil {
@@ -250,7 +250,7 @@ func RunASLR(ctx context.Context, cfg ASLRConfig) (ASLRExpResult, error) {
 	secret := uint64(r.Intn(cfg.Slides))
 	slide := base + secret<<12
 
-	sys := sched.NewSystem(cfg.Model, r.Uint64())
+	sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 	th := sys.Spawn("victim", victims.MultiBranchASLRProcess(slide, offsets))
 	defer th.Kill()
 

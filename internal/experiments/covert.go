@@ -272,16 +272,24 @@ func finishWindow(tel *telemetry.Set, est, win *leakage.Estimator) {
 
 func runCovertOnce(ctx context.Context, cfg CovertConfig, r *rng.Source, res *CovertResult, est *leakage.Estimator) (float64, error) {
 	tel := cfg.Telemetry
-	sys := sched.NewSystem(cfg.Model, r.Uint64())
+	// Only telemetry, rdtscp probing (configured, or a degraded session's
+	// fallback) and a spy hook (trace.Recorder) read the clock; without
+	// them the machine is clockless, with the same results (DESIGN §3.5).
+	model := cfg.Model
+	if tel == nil && !cfg.UseTiming && cfg.Degrade.MaxFaultRate <= 0 && cfg.SpyHook == nil {
+		model = model.Clockless()
+	}
+	sys := sched.NewSystem(model, r.Uint64())
 	if tel != nil {
 		sys.SetTelemetry(tel)
+		// Simulated cycles accumulate across runs; wall time is
+		// deliberately absent so metric exports stay reproducible per
+		// seed.
+		defer func() {
+			tel.Counter("covert.simulated_cycles").Add(sys.Core().Clock())
+		}()
 	}
 	tel.Counter("covert.runs").Inc()
-	// Simulated cycles accumulate across runs; wall time is deliberately
-	// absent so metric exports stay reproducible per seed.
-	defer func() {
-		tel.Counter("covert.simulated_cycles").Add(sys.Core().Clock())
-	}()
 	if cfg.Prepare != nil {
 		cfg.Prepare(sys)
 	}

@@ -76,7 +76,7 @@ func RunIfConversion(ctx context.Context, cfg IfConversionConfig) (IfConversionR
 
 	// Against the normal ladder: the standard attack.
 	{
-		sys := sched.NewSystem(cfg.Model, r.Uint64())
+		sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 		mres, err := attacks.RecoverMontgomeryExponent(sys, exp, 1, r.Uint64())
 		if err != nil {
 			return IfConversionResult{}, fmt.Errorf("experiments: if-conversion baseline setup: %w", err)
@@ -90,7 +90,7 @@ func RunIfConversion(ctx context.Context, cfg IfConversionConfig) (IfConversionR
 	// one ladder iteration and probing as usual. Every probe sees only
 	// its own primed state.
 	{
-		sys := sched.NewSystem(cfg.Model, r.Uint64())
+		sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 		victim := sys.Spawn("ladder-ifconv",
 			victims.BranchlessMontgomeryProcess(base, exp, modulus, nil))
 		defer victim.Kill()
@@ -175,7 +175,7 @@ type PoisoningResult struct {
 func RunPoisoning(ctx context.Context, cfg PoisoningConfig) (PoisoningResult, error) {
 	cfg = cfg.withDefaults()
 	r := rng.New(cfg.Seed + 17)
-	sys := sched.NewSystem(cfg.Model, r.Uint64())
+	sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 	const addr = 0x0047_1100
 	victim := sys.Spawn("victim", func(hw *cpu.Context) {
 		for {
@@ -298,7 +298,7 @@ func RunDetection(ctx context.Context, cfg DetectionConfig) (DetectionResult, er
 	}
 
 	{ // The attacker.
-		sys := sched.NewSystem(cfg.Model, r.Uint64())
+		sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 		secret := r.Bits(cfg.Bits)
 		victim := sys.Spawn("victim", victims.LoopingSecretArraySender(secret, 0))
 		spy := sys.NewProcess("spy")
@@ -322,7 +322,7 @@ func RunDetection(ctx context.Context, cfg DetectionConfig) (DetectionResult, er
 		add("BranchScope spy", mon)
 	}
 	{ // Benign: modular exponentiation service.
-		sys := sched.NewSystem(cfg.Model, r.Uint64())
+		sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 		hw := sys.NewProcess("modexp")
 		mon := detect.Attach(hw, detect.Config{})
 		for i := 0; i < 12; i++ {
@@ -332,7 +332,7 @@ func RunDetection(ctx context.Context, cfg DetectionConfig) (DetectionResult, er
 		add("modexp service (benign)", mon)
 	}
 	{ // Benign: JPEG decoder.
-		sys := sched.NewSystem(cfg.Model, r.Uint64())
+		sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 		hw := sys.NewProcess("decoder")
 		mon := detect.Attach(hw, detect.Config{})
 		var b victims.Block
@@ -344,7 +344,7 @@ func RunDetection(ctx context.Context, cfg DetectionConfig) (DetectionResult, er
 		add("jpeg decoder (benign)", mon)
 	}
 	{ // The documented limitation: dense random branches.
-		sys := sched.NewSystem(cfg.Model, r.Uint64())
+		sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 		hw := sys.NewProcess("fuzzer")
 		mon := detect.Attach(hw, detect.Config{})
 		for i := 0; i < 4000; i++ {

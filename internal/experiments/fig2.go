@@ -77,7 +77,7 @@ func RunFig2(ctx context.Context, cfg Fig2Config) (Fig2Result, error) {
 			if err := ctx.Err(); err != nil {
 				return Fig2Result{}, fmt.Errorf("experiments: fig2: %w", err)
 			}
-			core := m.NewCore(r.Uint64())
+			core := m.Clockless().NewCore(r.Uint64())
 			hw := core.NewContext(1)
 			pattern := r.Bits(cfg.PatternBits)
 			const addr = 0x5000_1230

@@ -104,7 +104,7 @@ type Fig4Result struct {
 func RunFig4(ctx context.Context, cfg Fig4Config) (Fig4Result, error) {
 	cfg = cfg.withDefaults()
 	r := rng.New(cfg.Seed + 4)
-	sys := sched.NewSystem(cfg.Model, r.Uint64())
+	sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 	spy := sys.NewProcess("spy")
 	noiseThread := sys.Spawn("noise", noise.Process(r.Uint64(), noise.DefaultRegion, 1<<22))
 	defer noiseThread.Kill()

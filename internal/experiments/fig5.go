@@ -101,7 +101,7 @@ type Fig5Result struct {
 func RunFig5(ctx context.Context, cfg Fig5Config) (Fig5Result, error) {
 	cfg = cfg.withDefaults()
 	r := rng.New(cfg.Seed + 5)
-	sys := sched.NewSystem(cfg.Model, r.Uint64())
+	sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 	if cfg.Prepare != nil {
 		cfg.Prepare(sys)
 	}

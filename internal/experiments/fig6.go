@@ -56,7 +56,7 @@ type Fig6Result struct {
 func RunFig6(ctx context.Context, cfg Fig6Config) (Fig6Result, error) {
 	cfg = cfg.withDefaults()
 	r := rng.New(cfg.Seed + 6)
-	sys := sched.NewSystem(cfg.Model, r.Uint64())
+	sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 	victim := sys.Spawn("sender", victims.LoopingSecretArraySender(cfg.Bits, 0))
 	defer victim.Kill()
 	noiseThread := sys.Spawn("noise", noise.Process(r.Uint64(), noise.DefaultRegion, 1<<22))

@@ -95,7 +95,7 @@ func runFSMWidthOne(ctx context.Context, cfg FSMWidthConfig, w int) (FSMWidthRow
 	m.BPU.FSM = fsm.Saturating(fmt.Sprintf("sym-%d", w), w, w, w-1)
 
 	r := rng.New(cfg.Seed + uint64(w)*7919 + 28)
-	sys := sched.NewSystem(m, r.Uint64())
+	sys := sched.NewSystem(m.Clockless(), r.Uint64())
 	secret := r.Bits(cfg.Bits)
 	victim := sys.Spawn("sender", victims.LoopingSecretArraySender(secret, 0))
 	defer victim.Kill()

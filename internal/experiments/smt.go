@@ -92,7 +92,7 @@ func (r SMTResult) Rows() []engine.Row {
 func RunSMT(ctx context.Context, cfg SMTConfig) (SMTResult, error) {
 	cfg = cfg.withDefaults()
 	r := rng.New(cfg.Seed + 19)
-	sys := sched.NewSystem(cfg.Model, r.Uint64())
+	sys := sched.NewSystem(cfg.Model.Clockless(), r.Uint64())
 	secret := r.Bits(cfg.Bits)
 	sender := sys.Spawn("sender", victims.PacedSender(secret, 0, cfg.Repeats))
 	defer sender.Kill()

@@ -39,7 +39,7 @@ func RunTable1(ctx context.Context, m uarch.Model, seed uint64) (Table1Result, e
 				if err := ctx.Err(); err != nil {
 					return Table1Result{}, fmt.Errorf("experiments: table1: %w", err)
 				}
-				c := m.NewCore(seed)
+				c := m.Clockless().NewCore(seed)
 				hw := c.NewContext(1)
 				const addr = 0x7700_4410
 				for i := range prime {

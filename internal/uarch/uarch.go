@@ -53,6 +53,16 @@ func (m Model) NewCore(seed uint64) *cpu.Core {
 	return cpu.NewCore(m.BPU, m.Timing, seed)
 }
 
+// Clockless returns the model with a zero Timing, whose cores keep no
+// cycle clock (see cpu.NewCore). A machine whose code never reads the
+// clock — no rdtscp, no telemetry, no trace.Recorder — is built from it
+// and skips the timing model; its predictor, PMCs and results are those
+// of the timed model.
+func (m Model) Clockless() Model {
+	m.Timing = cpu.Timing{}
+	return m
+}
+
 // String implements fmt.Stringer.
 func (m Model) String() string {
 	return fmt.Sprintf("%s (%s)", m.Name, m.Part)

@@ -4,7 +4,10 @@
 // same covert run with telemetry disabled (nil set — the default for
 // every library user) and fully enabled (registry + tracer); the
 // guardrail test compares them with testing.Benchmark and emits
-// BENCH_telemetry.json so CI history can track the ratio.
+// BENCH_telemetry.json so CI history can track the ratio. Both sides
+// probe with rdtscp (§8), so both machines are timed: a PMC run without
+// telemetry is built clockless, and comparing it with a timed one would
+// hide a regression on the nil-telemetry path behind the clock's cost.
 package branchscope_test
 
 import (
@@ -20,7 +23,8 @@ import (
 )
 
 // benchCovertConfig is the workload under measurement: one quick covert
-// run, sized so a single iteration is milliseconds, not seconds.
+// run, sized so a single iteration is milliseconds, not seconds. The
+// benchmarks time its rdtscp form (UseTiming).
 func benchCovertConfig(set *telemetry.Set) experiments.CovertConfig {
 	return experiments.CovertConfig{
 		Model:     uarch.Skylake(),
@@ -36,6 +40,7 @@ func benchCovertConfig(set *telemetry.Set) experiments.CovertConfig {
 func runCovertBench(b *testing.B, set *telemetry.Set) {
 	b.Helper()
 	cfg := benchCovertConfig(set)
+	cfg.UseTiming = true
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)
 		r, err := experiments.RunCovert(context.Background(), cfg)
@@ -49,7 +54,8 @@ func runCovertBench(b *testing.B, set *telemetry.Set) {
 }
 
 // BenchmarkCovertTelemetryDisabled is the uninstrumented baseline: the
-// nil-set fast path every library caller gets by default.
+// nil-set fast path every library caller gets by default, on a timed
+// machine.
 func BenchmarkCovertTelemetryDisabled(b *testing.B) {
 	runCovertBench(b, nil)
 }
@@ -75,7 +81,9 @@ func BenchmarkNilCounterInc(b *testing.B) {
 // increment must stay in fast-inlined-call territory. Results go to
 // BENCH_telemetry.json in the repo root.
 func TestTelemetryOverheadGuardrail(t *testing.T) {
-	// Precondition: the two timed runs do the same simulated work.
+	// Precondition: attaching telemetry changes no result. The disabled
+	// run is built clockless and the enabled one timed, so this also
+	// proves that the two machines agree.
 	var results [2]experiments.CovertResult
 	for i, set := range []*telemetry.Set{nil, telemetry.New(telemetry.NewRegistry(), telemetry.NewTracer())} {
 		r, err := experiments.RunCovert(context.Background(), benchCovertConfig(set))
