@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"branchscope/internal/cpu"
 	"branchscope/internal/telemetry"
+	"branchscope/internal/trace"
 	"branchscope/internal/uarch"
 )
 
@@ -152,6 +154,28 @@ func TestCovertTelemetryDeterministic(t *testing.T) {
 	}
 	checkGolden(t, filepath.Join("testdata", "covert_metrics.golden.json"), m1)
 	checkGolden(t, filepath.Join("testdata", "covert_trace.golden.json"), t1)
+}
+
+// TestCovertSpyHookKeepsClock pins the spy-hook clause of the covert
+// machine rule: `branchscope -trace` attaches a trace.Recorder, which
+// stamps every retired op with the cycle clock, so a cell with a spy
+// hook runs on a timed machine even without telemetry.
+func TestCovertSpyHookKeepsClock(t *testing.T) {
+	var rec *trace.Recorder
+	_, err := RunCovert(context.Background(), CovertConfig{
+		Model:   uarch.Skylake(),
+		Bits:    40,
+		Runs:    1,
+		Seed:    5,
+		SpyHook: func(spy *cpu.Context) { rec = trace.Attach(spy, 64) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := rec.Events()
+	if len(evs) == 0 || evs[len(evs)-1].Cycle == 0 {
+		t.Fatalf("spy trace recorded %d events, last cycle stamps missing", len(evs))
+	}
 }
 
 // TestCovertSGXTelemetry checks the enclave counters and AEX spans.
