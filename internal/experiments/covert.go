@@ -98,7 +98,9 @@ type CovertConfig struct {
 	// UseTiming switches the spy from PMC probing to rdtscp probing.
 	UseTiming bool
 	// Prepare, when non-nil, runs against each fresh system before the
-	// attack starts (mitigation studies configure the BPU here).
+	// attack starts (mitigation studies configure the BPU here). It
+	// must not read the clock: the system is clockless unless the cell
+	// has telemetry, UseTiming, an armed Degrade gate or a SpyHook.
 	Prepare func(*sched.System)
 	// SpyHook, when non-nil, receives the spy's hardware context right
 	// after creation (tracing and detection harnesses attach here).

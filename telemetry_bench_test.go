@@ -81,20 +81,26 @@ func BenchmarkNilCounterInc(b *testing.B) {
 // increment must stay in fast-inlined-call territory. Results go to
 // BENCH_telemetry.json in the repo root.
 func TestTelemetryOverheadGuardrail(t *testing.T) {
-	// Precondition: attaching telemetry changes no result. The disabled
+	// Precondition: attaching telemetry changes no result, on the PMC
+	// cell and on the rdtscp cell the benchmarks time. The disabled PMC
 	// run is built clockless and the enabled one timed, so this also
 	// proves that the two machines agree.
-	var results [2]experiments.CovertResult
-	for i, set := range []*telemetry.Set{nil, telemetry.New(telemetry.NewRegistry(), telemetry.NewTracer())} {
-		r, err := experiments.RunCovert(context.Background(), benchCovertConfig(set))
-		if err != nil {
-			t.Fatal(err)
+	for _, useTiming := range []bool{false, true} {
+		var results [2]experiments.CovertResult
+		for i, set := range []*telemetry.Set{nil, telemetry.New(telemetry.NewRegistry(), telemetry.NewTracer())} {
+			cfg := benchCovertConfig(set)
+			cfg.UseTiming = useTiming
+			r, err := experiments.RunCovert(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Config.Telemetry = nil
+			results[i] = r
 		}
-		r.Config.Telemetry = nil
-		results[i] = r
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Fatalf("attaching telemetry changed the covert result:\n disabled %+v\n enabled  %+v", results[0], results[1])
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Fatalf("attaching telemetry changed the covert result (UseTiming %v):\n disabled %+v\n enabled  %+v",
+				useTiming, results[0], results[1])
+		}
 	}
 	if !timeGuardrail(t) {
 		return
