@@ -15,25 +15,44 @@ import (
 // Property tests over random operation sequences: the architectural
 // invariants any hardware context must uphold regardless of workload.
 
-// opSeq drives a context through a pseudo-random instruction mix derived
-// from a byte script, returning the context.
-func opSeq(core *Core, script []byte) *Context {
+// opSeq drives a new context through a pseudo-random instruction mix
+// derived from a byte script and returns it: conditional branches (both
+// forms), nops, work, runs of a plan that grows with the script, and
+// rdtscp. hook, when non-nil, is installed as the retire hook.
+func opSeq(core *Core, script []byte, hook Hook) *Context {
 	ctx := core.NewContext(1)
+	ctx.SetHook(hook)
+	plan := ctx.NewPlan(0)
 	for i, b := range script {
 		addr := uint64(0x1000 + int(b)*33 + i)
-		switch b % 4 {
+		taken := b&8 != 0
+		switch b % opKinds {
 		case 0:
-			ctx.Branch(addr, b&8 != 0)
+			ctx.Branch(addr, taken)
 		case 1:
-			ctx.Nop(addr)
+			ctx.BranchTo(addr, taken, addr+uint64(b)*64)
 		case 2:
-			ctx.Work(uint64(b % 5))
+			ctx.Nop(addr)
 		case 3:
+			ctx.Work(uint64(b % 5))
+		case 4:
+			// Each Run replays every op appended so far.
+			if b&16 != 0 {
+				plan.Branch(addr, taken)
+			} else {
+				plan.Nop(addr)
+			}
+			plan.Run()
+		case opTSC:
 			ctx.ReadTSC()
 		}
 	}
 	return ctx
 }
+
+// opKinds is the number of op kinds opSeq draws from; opTSC is the
+// rdtscp kind, which a clockless core does not have.
+const opKinds, opTSC = 6, 5
 
 // propBPU is the small predictor the properties run against.
 var propBPU = bpu.Config{
@@ -89,7 +108,7 @@ func TestQuickClockMonotonicCountersExact(t *testing.T) {
 // branches, and all PMCs are monotone.
 func TestQuickPMCConsistency(t *testing.T) {
 	f := func(seed uint64, script []byte) bool {
-		ctx := opSeq(propCore(seed), script)
+		ctx := opSeq(propCore(seed), script, nil)
 		branches := ctx.ReadPMC(BranchInstructions)
 		misses := ctx.ReadPMC(BranchMisses)
 		allocs := ctx.ReadPMC(BranchAllocations)
@@ -106,11 +125,11 @@ func TestQuickPMCConsistency(t *testing.T) {
 func TestQuickSnapshotReplayIdentical(t *testing.T) {
 	f := func(seed uint64, warm, script []byte) bool {
 		core := propCore(seed)
-		opSeq(core, warm)
+		opSeq(core, warm, nil)
 		snap := core.Snapshot()
-		a := opSeq(core, script).ReadTSC()
+		a := opSeq(core, script, nil).ReadTSC()
 		core.Restore(snap)
-		b := opSeq(core, script).ReadTSC()
+		b := opSeq(core, script, nil).ReadTSC()
 		return a == b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -118,61 +137,8 @@ func TestQuickSnapshotReplayIdentical(t *testing.T) {
 	}
 }
 
-// Property: a clockless core is a timed core without the clock. Fed the
-// same script of Branch, BranchTo, Nop, Work and ExecPlan.Run, with and
-// without a retire hook, both end with equal PMCs and predictor state
-// and deliver the same hook sequence.
-func TestQuickClocklessMatchesTimed(t *testing.T) {
-	run := func(timing Timing, seed uint64, script []byte, hooked bool) ([numEvents]uint64, *bpu.Snapshot, []bool) {
-		core := NewCore(propBPU, timing, seed)
-		ctx := core.NewContext(1)
-		var hooks []bool
-		if hooked {
-			ctx.SetHook(func(isBranch bool) { hooks = append(hooks, isBranch) })
-		}
-		// The plan grows with the script, so each Run replays every op
-		// appended so far: batched (or hooked) execution of a mix.
-		plan := ctx.NewPlan(0)
-		for i, b := range script {
-			addr := uint64(0x1000 + int(b)*33 + i)
-			taken := b&8 != 0
-			switch b % 5 {
-			case 0:
-				ctx.Branch(addr, taken)
-			case 1:
-				ctx.BranchTo(addr, taken, addr+uint64(b)*64)
-			case 2:
-				ctx.Nop(addr)
-			case 3:
-				ctx.Work(uint64(b % 5))
-			case 4:
-				if b&16 != 0 {
-					plan.Branch(addr, taken)
-				} else {
-					plan.Nop(addr)
-				}
-				plan.Run()
-			}
-		}
-		return ctx.pmc, core.BPU().Snapshot(), hooks
-	}
-	f := func(seed uint64, script []byte) bool {
-		for _, hooked := range []bool{false, true} {
-			pt, bt, ht := run(DefaultTiming(), seed, script, hooked)
-			pc, bc, hc := run(Timing{}, seed, script, hooked)
-			if pt != pc || !reflect.DeepEqual(bt, bc) || !reflect.DeepEqual(ht, hc) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestClocklessCoreRejectsClockReads pins the other half of the
-// contract: every read of the clock on a clockless core panics, naming
+// clockless contract (see TestQuickDeterminism): every read of the clock on a clockless core panics, naming
 // the rule, so a machine wrongly built clockless fails instead of
 // reporting zero cycles.
 func TestClocklessCoreRejectsClockReads(t *testing.T) {
@@ -198,13 +164,40 @@ func TestClocklessCoreRejectsClockReads(t *testing.T) {
 }
 
 // Property: two cores built from the same seed behave identically under
-// the same script (full determinism).
+// the same script (full determinism). So do a timed and a clockless
+// core, apart from the clock: fed the script without its rdtscp ops,
+// with and without a retire hook, both end with equal PMCs and
+// predictor state and deliver the same hook sequence.
 func TestQuickDeterminism(t *testing.T) {
 	f := func(seed uint64, script []byte) bool {
-		a := opSeq(propCore(seed), script)
-		b := opSeq(propCore(seed), script)
-		return a.ReadPMC(BranchMisses) == b.ReadPMC(BranchMisses) &&
-			a.Core().Clock() == b.Core().Clock()
+		a := opSeq(propCore(seed), script, nil)
+		b := opSeq(propCore(seed), script, nil)
+		if a.ReadPMC(BranchMisses) != b.ReadPMC(BranchMisses) || a.Core().Clock() != b.Core().Clock() {
+			return false
+		}
+		var noTSC []byte
+		for _, op := range script {
+			if op%opKinds != opTSC {
+				noTSC = append(noTSC, op)
+			}
+		}
+		for _, hooked := range []bool{false, true} {
+			var ctx [2]*Context
+			var hooks [2][]bool
+			for i, timing := range []Timing{DefaultTiming(), {}} {
+				var hook Hook
+				if hooked {
+					hook = func(isBranch bool) { hooks[i] = append(hooks[i], isBranch) }
+				}
+				ctx[i] = opSeq(NewCore(propBPU, timing, seed), noTSC, hook)
+			}
+			if ctx[0].pmc != ctx[1].pmc ||
+				!reflect.DeepEqual(ctx[0].Core().BPU().Snapshot(), ctx[1].Core().BPU().Snapshot()) ||
+				!reflect.DeepEqual(hooks[0], hooks[1]) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -216,7 +209,7 @@ func TestQuickDeterminism(t *testing.T) {
 func TestQuickTSCStrictlyIncreasing(t *testing.T) {
 	f := func(seed uint64, script []byte) bool {
 		core := propCore(seed)
-		ctx := opSeq(core, script)
+		ctx := opSeq(core, script, nil)
 		t1 := ctx.ReadTSC()
 		t2 := ctx.ReadTSC()
 		return t2 > t1
