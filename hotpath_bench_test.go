@@ -190,6 +190,35 @@ func benchHotpathBatched(b *testing.B, m uarch.Model) {
 	}
 }
 
+// blockSearchSeed fixes the candidate stream of BenchmarkBlockSearch: a
+// seed whose search succeeds after a few hundred candidates.
+const blockSearchSeed = 2
+
+// BenchmarkBlockSearch measures the §6.3 multi-target block search at
+// the core layer: core.NewMultiSession over the sixteen libjpeg check
+// branches on a clockless Skylake, the search behind the jpeg
+// experiment's single-episode spy. Every iteration builds a fresh
+// machine, so each search starts from power-on predictor state and
+// does the same work.
+func BenchmarkBlockSearch(b *testing.B) {
+	targets := make([]uint64, 0, 16)
+	for i := 0; i < 8; i++ {
+		targets = append(targets, victims.ColumnCheckAddr(i))
+	}
+	for i := 0; i < 8; i++ {
+		targets = append(targets, victims.RowCheckAddr(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spy := sched.NewSystem(uarch.Skylake().Clockless(), 1).NewProcess("spy")
+		if _, err := core.NewMultiSession(spy, rng.New(blockSearchSeed), core.MultiConfig{Targets: targets}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/search")
+}
+
 // readBitSession builds the steady-state resilient-read workload: a
 // focused-block attack session against a looping victim.
 func readBitSession(t testing.TB) (*core.Session, core.Stepper, func()) {
