@@ -26,8 +26,10 @@
 package bpu
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"branchscope/internal/fsm"
 	"branchscope/internal/pht"
@@ -578,12 +580,60 @@ type Snapshot struct {
 
 // Snapshot returns a deep copy of the unit state.
 func (u *Unit) Snapshot() *Snapshot {
-	return &Snapshot{
-		pht:      u.pht.Snapshot(),
-		selector: append([]uint8(nil), u.selector...),
-		ghr:      u.ghr,
-		tags:     append([]tagEntry(nil), u.tags...),
-		btb:      append([]btbEntry(nil), u.btb...),
+	s := new(Snapshot)
+	u.SnapshotInto(s)
+	return s
+}
+
+// SnapshotInto copies the unit state into s, reusing its buffers, so a
+// caller that records the state often allocates only on its first call.
+func (u *Unit) SnapshotInto(s *Snapshot) {
+	s.pht = append(s.pht[:0], u.phtEntries...)
+	s.selector = append(s.selector[:0], u.selector...)
+	s.ghr = u.ghr
+	s.tags = append(s.tags[:0], u.tags...)
+	s.btb = append(s.btb[:0], u.btb...)
+}
+
+// MatchesSnapshot reports whether the unit state equals s, a snapshot
+// of this unit (or of an identically configured one). It compares the
+// cheap, often-changing parts first.
+func (u *Unit) MatchesSnapshot(s *Snapshot) bool {
+	return u.ghr == s.ghr &&
+		bytes.Equal(u.phtEntries, s.pht) &&
+		bytes.Equal(u.selector, s.selector) &&
+		slices.Equal(u.tags, s.tags) &&
+		slices.Equal(u.btb, s.btb)
+}
+
+// Deterministic reports whether the unit draws no randomness, which
+// holds unless the §10.2 stochastic-FSM mitigation is configured. The
+// state after a branch sequence is then a function of the state before
+// it.
+func (u *Unit) Deterministic() bool { return u.phtFast }
+
+// Diagnostics is a record of the unit's lifetime diagnostics (commit
+// and mispredict counts and the heatmap) for RepeatDiagnostics.
+type Diagnostics struct {
+	commits, mispredicts uint64
+	heat                 []uint64
+}
+
+// DiagnosticsInto records the unit's diagnostics into d, reusing its
+// buffer.
+func (u *Unit) DiagnosticsInto(d *Diagnostics) {
+	d.commits, d.mispredicts = u.commits, u.mispredicts
+	d.heat = append(d.heat[:0], u.heat...)
+}
+
+// RepeatDiagnostics adds k times the diagnostics accrued since d was
+// recorded: the accounting of k more executions of a branch sequence
+// that would each repeat the one since d exactly.
+func (u *Unit) RepeatDiagnostics(d *Diagnostics, k uint64) {
+	u.commits += k * (u.commits - d.commits)
+	u.mispredicts += k * (u.mispredicts - d.mispredicts)
+	for i, h := range d.heat {
+		u.heat[i] += k * (u.heat[i] - h)
 	}
 }
 

@@ -1,6 +1,7 @@
 package bpu
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -315,6 +316,70 @@ func TestSnapshotRestore(t *testing.T) {
 		a := uint64(i * 7)
 		if u.Predict(0, a).Taken != u2.Predict(0, a).Taken {
 			t.Fatalf("restored unit diverges at addr %#x", a)
+		}
+	}
+}
+
+// TestSnapshotIntoMatches: SnapshotInto records what Snapshot does and
+// reuses its buffers, and MatchesSnapshot sees a change to any one part
+// of the state.
+func TestSnapshotIntoMatches(t *testing.T) {
+	u := New(testConfig())
+	for i := 0; i < 200; i++ {
+		execAt(u, 0, uint64(i*3), i%3 == 0, uint64(i))
+	}
+	var s Snapshot
+	u.SnapshotInto(&s)
+	if !reflect.DeepEqual(&s, u.Snapshot()) {
+		t.Fatal("SnapshotInto differs from Snapshot")
+	}
+	if !u.MatchesSnapshot(&s) {
+		t.Fatal("unit does not match its own snapshot")
+	}
+	if a := testing.AllocsPerRun(10, func() { u.SnapshotInto(&s) }); a != 0 {
+		t.Errorf("SnapshotInto into a used record allocates %.0f objects, want 0", a)
+	}
+	for _, c := range []struct {
+		part    string
+		perturb func()
+	}{
+		{"pht", func() { u.phtEntries[3]++ }},
+		{"selector", func() { u.selector[5]++ }},
+		{"ghr", func() { u.ghr ^= 1 }},
+		{"tags", func() { u.tags[7].addr++ }},
+		{"btb", func() { u.btb[9].target++ }},
+	} {
+		u.Restore(&s)
+		c.perturb()
+		if u.MatchesSnapshot(&s) {
+			t.Errorf("a changed %s still matches the snapshot", c.part)
+		}
+	}
+}
+
+// TestRepeatDiagnostics: k repeats of the diagnostics accrued since a
+// record add k times that delta to the commit and mispredict counts and
+// to every heatmap set.
+func TestRepeatDiagnostics(t *testing.T) {
+	u := New(testConfig())
+	var d Diagnostics
+	u.DiagnosticsInto(&d)
+	for i := 0; i < 300; i++ {
+		execAt(u, 0, uint64(i*5), i%2 == 0, 0)
+	}
+	once := u.Introspect()
+	u.RepeatDiagnostics(&d, 3)
+	got := u.Introspect()
+	if got.Commits != 4*once.Commits || got.Mispredicts != 4*once.Mispredicts {
+		t.Errorf("commits/mispredicts %d/%d after 3 repeats, want %d/%d",
+			got.Commits, got.Mispredicts, 4*once.Commits, 4*once.Mispredicts)
+	}
+	if once.Mispredicts == 0 {
+		t.Fatal("the sequence mispredicted nothing; the heatmap check is vacuous")
+	}
+	for i, h := range once.Heatmap {
+		if got.Heatmap[i] != 4*h {
+			t.Errorf("heatmap set %d = %d after 3 repeats, want %d", i, got.Heatmap[i], 4*h)
 		}
 	}
 }

@@ -8,3 +8,10 @@ func (p Pattern) Valid() bool {
 	}
 	return false
 }
+
+// Code returns the block's instruction sequence, so tests can compare
+// blocks generated on different machines.
+func (b *Block) Code() []site { return b.sites }
+
+// Block returns the session's randomization block.
+func (m *MultiSession) Block() *Block { return m.block }

@@ -155,28 +155,41 @@ func mixAliases(r *rng.Source, base *Block, targets []uint64) *Block {
 
 // analyzeMulti characterizes a block against every target at once: each
 // analysis repetition runs the block once and probes all targets, so the
-// per-candidate cost grows only marginally with the target count.
+// per-candidate cost grows only marginally with the target count. The
+// repetitions go through cpu.Context.Repeat, which stops simulating
+// once they repeat.
 func analyzeMulti(spy *cpu.Context, block *Block, cfg MultiConfig) ([]MultiTarget, bool) {
 	n := len(cfg.Targets)
-	patTT := make([][]Pattern, n)
-	patNN := make([][]Pattern, n)
-	for _, taken := range []bool{true, false} {
-		for rep := 0; rep < cfg.Reps; rep++ {
+	probes := make([]cpu.ResolvedBranch, n)
+	for i, addr := range cfg.Targets {
+		probes[i] = spy.ResolveBranch(addr)
+	}
+	// pats[0] holds the taken-probe observations per target, pats[1]
+	// the not-taken ones, each with room for every repetition.
+	var pats [2][][]Pattern
+	buf := make([]Pattern, 2*n*cfg.Reps)
+	for d := range pats {
+		pats[d] = make([][]Pattern, n)
+		for i := range pats[d] {
+			pats[d][i], buf = buf[:0:cfg.Reps], buf[cfg.Reps:]
+		}
+	}
+	for d, taken := range []bool{true, false} {
+		obs := pats[d]
+		spy.Repeat(cfg.Reps, func() {
 			block.Run(spy)
-			for i, addr := range cfg.Targets {
-				p := ProbePMC(spy, addr, taken)
-				if taken {
-					patTT[i] = append(patTT[i], p)
-				} else {
-					patNN[i] = append(patNN[i], p)
-				}
+			for i := range probes {
+				obs[i] = append(obs[i], probePattern(spy, &probes[i], taken))
 			}
+		})
+		for i := range obs {
+			obs[i] = fillRepeated(obs[i], cfg.Reps)
 		}
 	}
 	targets := make([]MultiTarget, 0, n)
 	for i, addr := range cfg.Targets {
-		tt, ft := stats.Mode(patTT[i])
-		nn, fn := stats.Mode(patNN[i])
+		tt, ft := stats.Mode(pats[0][i])
+		nn, fn := stats.Mode(pats[1][i])
 		if ft < cfg.Stability || fn < cfg.Stability {
 			return nil, false
 		}

@@ -7,22 +7,22 @@ import "branchscope/internal/cpu"
 // branch-misprediction performance counter around each execution, and
 // returns the observed pattern. This is the Listing 3 spy_function.
 func ProbePMC(ctx *cpu.Context, addr uint64, taken bool) Pattern {
-	m0, m1, m2 := ProbePMCReadings(ctx, addr, taken)
+	rb := ctx.ResolveBranch(addr)
+	return probePattern(ctx, &rb, taken)
+}
+
+// probePattern is ProbePMC over a pre-resolved spy branch.
+func probePattern(ctx *cpu.Context, rb *cpu.ResolvedBranch, taken bool) Pattern {
+	m0, m1, m2 := ProbePMCReadingsResolved(ctx, rb, taken)
 	return MakePattern(m1 > m0, m2 > m1)
 }
 
-// ProbePMCReadings performs the same probe but returns the three raw
-// counter readings: the session's health gate inspects them for
-// implausible values before the pattern is decoded (see DegradeConfig).
-func ProbePMCReadings(ctx *cpu.Context, addr uint64, taken bool) (m0, m1, m2 uint64) {
-	rb := ctx.ResolveBranch(addr)
-	return ProbePMCReadingsResolved(ctx, &rb, taken)
-}
-
-// ProbePMCReadingsResolved is ProbePMCReadings over a pre-resolved spy
-// branch: attack sessions probe the same target address millions of
-// times, so they resolve its predictor indexes once at construction and
-// pay only the two branch executions per probe.
+// ProbePMCReadingsResolved performs the same probe over a pre-resolved
+// spy branch and returns the three raw counter readings: the session's
+// health gate inspects them for implausible values before the pattern
+// is decoded (see DegradeConfig). Attack sessions probe the same target
+// address millions of times, so they resolve its predictor indexes once
+// at construction and pay only the two branch executions per probe.
 func ProbePMCReadingsResolved(ctx *cpu.Context, rb *cpu.ResolvedBranch, taken bool) (m0, m1, m2 uint64) {
 	m0 = ctx.ReadPMC(cpu.BranchMisses)
 	rb.Execute(taken)

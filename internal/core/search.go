@@ -87,21 +87,32 @@ func (c SearchConfig) generate(r *rng.Source) *Block {
 // using the §6.2 protocol: Reps repetitions of (run block, probe with two
 // taken branches), then Reps repetitions of (run block, probe with two
 // not-taken branches), decoding the dominant patterns. ctx is the spy's
-// context; the probes run at cfg.TargetAddr.
+// context; the probes run at cfg.TargetAddr. Without OnRep the
+// repetitions go through cpu.Context.Repeat, which stops simulating
+// once they repeat.
 func AnalyzeBlock(ctx *cpu.Context, b *Block, cfg SearchConfig) BlockAnalysis {
 	cfg = cfg.withDefaults()
 	a := BlockAnalysis{Block: b}
+	rb := ctx.ResolveBranch(cfg.TargetAddr)
+	pats := make([]Pattern, 0, cfg.Reps)
 
 	collect := func(taken bool) (Pattern, float64) {
-		pats := make([]Pattern, 0, cfg.Reps)
-		for i := 0; i < cfg.Reps; i++ {
-			b.Run(ctx)
-			if cfg.OnRep != nil {
+		pats = pats[:0]
+		if cfg.OnRep != nil {
+			// OnRep runs other contexts, so the repetitions are not a
+			// function of this context's predictor state alone.
+			for i := 0; i < cfg.Reps; i++ {
+				b.Run(ctx)
 				cfg.OnRep()
+				pats = append(pats, probePattern(ctx, &rb, taken))
 			}
-			pats = append(pats, ProbePMC(ctx, cfg.TargetAddr, taken))
+			return stats.Mode(pats)
 		}
-		return stats.Mode(pats)
+		ctx.Repeat(cfg.Reps, func() {
+			b.Run(ctx)
+			pats = append(pats, probePattern(ctx, &rb, taken))
+		})
+		return stats.Mode(fillRepeated(pats, cfg.Reps))
 	}
 	a.PatTT, a.FreqTT = collect(true)
 	a.PatNN, a.FreqNN = collect(false)
@@ -112,6 +123,16 @@ func AnalyzeBlock(ctx *cpu.Context, b *Block, cfg SearchConfig) BlockAnalysis {
 		a.State = StateUnknown
 	}
 	return a
+}
+
+// fillRepeated extends pats to n observations with copies of its last
+// one: each repetition cpu.Context.Repeat computed rather than
+// simulated repeats the last simulated one exactly.
+func fillRepeated(pats []Pattern, n int) []Pattern {
+	for len(pats) < n {
+		pats = append(pats, pats[len(pats)-1])
+	}
+	return pats
 }
 
 // FindBlock is the pre-attack stage (§6.2): it generates candidate

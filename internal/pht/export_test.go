@@ -22,6 +22,11 @@ func (t *Table) SetState(idx int, state uint8) {
 	t.entries[idx] = state
 }
 
+// Snapshot returns a copy of all entry states, for checkpoint/replay.
+func (t *Table) Snapshot() []uint8 {
+	return append([]uint8(nil), t.entries...)
+}
+
 // Label returns the architectural label of entry idx.
 func (t *Table) Label(idx int) fsm.Label { return t.spec.Label(t.entries[idx]) }
 

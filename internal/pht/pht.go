@@ -107,12 +107,8 @@ func (t *Table) Raw() (entries, plane []uint8) { return t.entries, t.plane }
 // this once and fall back to Update when set.
 func (t *Table) Stochastic() bool { return t.stochastic }
 
-// Snapshot returns a copy of all entry states, for checkpoint/replay.
-func (t *Table) Snapshot() []uint8 {
-	return append([]uint8(nil), t.entries...)
-}
-
-// Restore reinstates a snapshot previously produced by Snapshot. It panics
+// Restore reinstates a copy of the entry states taken earlier (see
+// bpu.Unit.SnapshotInto, which copies them through Raw). It panics
 // on a size mismatch.
 func (t *Table) Restore(snap []uint8) {
 	if len(snap) != len(t.entries) {
