@@ -201,13 +201,7 @@ const blockSearchSeed = 2
 // machine, so each search starts from power-on predictor state and
 // does the same work.
 func BenchmarkBlockSearch(b *testing.B) {
-	targets := make([]uint64, 0, 16)
-	for i := 0; i < 8; i++ {
-		targets = append(targets, victims.ColumnCheckAddr(i))
-	}
-	for i := 0; i < 8; i++ {
-		targets = append(targets, victims.RowCheckAddr(i))
-	}
+	targets := victims.CheckAddrs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -134,15 +134,8 @@ func RecoverJPEGStructureMulti(sys *sched.System, blocks []victims.Block, allowS
 	defer victim.Kill()
 	spy := sys.NewProcess("spy")
 
-	targets := make([]uint64, 0, 16)
-	for c := 0; c < 8; c++ {
-		targets = append(targets, victims.ColumnCheckAddr(c))
-	}
-	for r := 0; r < 8; r++ {
-		targets = append(targets, victims.RowCheckAddr(r))
-	}
 	ms, err := core.NewMultiSession(spy, rng.New(seed), core.MultiConfig{
-		Targets: targets,
+		Targets: victims.CheckAddrs(),
 		AllowST: allowST,
 	})
 	if err != nil {

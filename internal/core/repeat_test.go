@@ -52,19 +52,6 @@ func (o *searchOutcome) finish(spy *cpu.Context, err error) {
 	o.Diag = spy.Core().BPU().Introspect()
 }
 
-// jpegTargets are the sixteen libjpeg check branches the jpeg
-// experiment's single-episode spy monitors.
-func jpegTargets() []uint64 {
-	targets := make([]uint64, 0, 16)
-	for i := 0; i < 8; i++ {
-		targets = append(targets, victims.ColumnCheckAddr(i))
-	}
-	for i := 0; i < 8; i++ {
-		targets = append(targets, victims.RowCheckAddr(i))
-	}
-	return targets
-}
-
 // TestSettledSearchesMatchFullSimulation: block searches on clockless
 // machines, whose analyses stop simulating once their repetitions
 // repeat, return and leave exactly what a fully simulated search does,
@@ -96,7 +83,7 @@ func TestSettledSearchesMatchFullSimulation(t *testing.T) {
 	for _, allowST := range []bool{false, true} {
 		searches[fmt.Sprintf("multi/allowST=%v", allowST)] = func(spy *cpu.Context, seed uint64) (o searchOutcome) {
 			ms, err := core.NewMultiSession(spy, rng.New(seed), core.MultiConfig{
-				Targets: jpegTargets(), AllowST: allowST, MaxCandidates: 10,
+				Targets: victims.CheckAddrs(), AllowST: allowST, MaxCandidates: 10,
 			})
 			if ms != nil {
 				o.Code, o.Targets = ms.Block().Code(), ms.Targets()

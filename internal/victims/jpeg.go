@@ -29,6 +29,20 @@ func RowCheckAddr(r int) uint64 {
 	return 0x0042_2000 + uint64(r)*0x20
 }
 
+// CheckAddrs returns the sixteen check-branch addresses in the order
+// the decoder executes them for one block: the eight column checks, then
+// the eight row checks.
+func CheckAddrs() []uint64 {
+	addrs := make([]uint64, 0, 16)
+	for c := 0; c < 8; c++ {
+		addrs = append(addrs, ColumnCheckAddr(c))
+	}
+	for r := 0; r < 8; r++ {
+		addrs = append(addrs, RowCheckAddr(r))
+	}
+	return addrs
+}
+
 // Block is an 8×8 JPEG coefficient block in natural (row-major) order.
 type Block [8][8]int32
 
