@@ -190,23 +190,50 @@ func benchHotpathBatched(b *testing.B, m uarch.Model) {
 	}
 }
 
-// blockSearchSeed fixes the candidate stream of BenchmarkBlockSearch: a
-// seed whose search succeeds after a few hundred candidates.
-const blockSearchSeed = 2
+// blockSearchSeed and covertSearchSeed fix the candidate streams of
+// BenchmarkBlockSearch's two inputs: the sixteen-target search succeeds
+// after a few hundred candidates, and the covert search on its third,
+// near the median of the covert workload's searches.
+const (
+	blockSearchSeed  = 2
+	covertSearchSeed = 9
+)
 
-// BenchmarkBlockSearch measures the §6.3 multi-target block search at
-// the core layer: core.NewMultiSession over the sixteen libjpeg check
-// branches on a clockless Skylake, the search behind the jpeg
-// experiment's single-episode spy. Every iteration builds a fresh
-// machine, so each search starts from power-on predictor state and
-// does the same work.
+// BenchmarkBlockSearch measures the block search at the core layer on
+// two inputs. jpeg16 is the §6.3 multi-target search,
+// core.NewMultiSession over the sixteen libjpeg check branches on a
+// clockless Skylake: the search behind the jpeg experiment's
+// single-episode spy. covert is the covert sender's §6.2 search,
+// core.FindBlock for a focused block priming the secret branch SN on a
+// timed Skylake, as a session of the public API runs it. Every
+// iteration builds a fresh machine, so each search starts from
+// power-on predictor state and does the same work.
 func BenchmarkBlockSearch(b *testing.B) {
-	targets := victims.CheckAddrs()
+	b.Run("jpeg16", func(b *testing.B) {
+		targets := victims.CheckAddrs()
+		benchBlockSearch(b, func() error {
+			spy := sched.NewSystem(uarch.Skylake().Clockless(), 1).NewProcess("spy")
+			_, err := core.NewMultiSession(spy, rng.New(blockSearchSeed), core.MultiConfig{Targets: targets})
+			return err
+		})
+	})
+	b.Run("covert", func(b *testing.B) {
+		cfg := core.SearchConfig{TargetAddr: victims.SecretBranchAddr, Focused: true}
+		benchBlockSearch(b, func() error {
+			spy := sched.NewSystem(uarch.Skylake(), 1).NewProcess("spy")
+			_, _, err := core.FindBlock(spy, rng.New(covertSearchSeed), cfg, core.StateSN, 0)
+			return err
+		})
+	})
+}
+
+// benchBlockSearch times b.N searches and reports milliseconds per
+// search.
+func benchBlockSearch(b *testing.B, search func() error) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spy := sched.NewSystem(uarch.Skylake().Clockless(), 1).NewProcess("spy")
-		if _, err := core.NewMultiSession(spy, rng.New(blockSearchSeed), core.MultiConfig{Targets: targets}); err != nil {
+		if err := search(); err != nil {
 			b.Fatal(err)
 		}
 	}
