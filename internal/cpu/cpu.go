@@ -149,6 +149,10 @@ type Core struct {
 	// float compare.
 	jit      halfNormal
 	spikeThr uint64
+
+	// tape, when non-nil, records the timing draws of the repetition
+	// Context.Repeat is checking (see timingTape).
+	tape *timingTape
 }
 
 // ReadFaults intercepts architectural counter reads on a core. The
@@ -328,17 +332,20 @@ func (c *Core) Clock() uint64 {
 	if c.rnd == nil {
 		panicClockless("Clock")
 	}
+	if c.tape != nil {
+		c.tape.clockRead = true
+	}
 	return c.clock
 }
 
 // icacheAccess models one instruction fetch: returns the extra cycles
-// charged (zero on a hit).
-func (c *Core) icacheAccess(domain, addr uint64) uint64 {
-	extra, miss := c.icacheTouch(domain, addr)
+// charged (zero on a hit) and whether the fetch missed.
+func (c *Core) icacheAccess(domain, addr uint64) (extra uint64, miss bool) {
+	extra, miss = c.icacheTouch(domain, addr)
 	if miss {
 		c.ctr.icacheMisses.Inc()
 	}
-	return extra
+	return extra, miss
 }
 
 // icacheTouch is icacheAccess without the telemetry increment, so the
@@ -350,11 +357,16 @@ func (c *Core) icacheTouch(domain, addr uint64) (extra uint64, miss bool) {
 		return 0, false
 	}
 	*e = icacheEntry{valid: true, domain: domain, line: line}
+	return c.missCycles(), true
+}
+
+// missCycles draws the extra cost of one icache miss.
+func (c *Core) missCycles() uint64 {
 	span := c.timing.ICacheMissMax - c.timing.ICacheMissMin
 	if span == 0 {
-		return c.timing.ICacheMissMin, true
+		return c.timing.ICacheMissMin
 	}
-	return c.timing.ICacheMissMin + c.rnd.Uint64n(span+1), true
+	return c.timing.ICacheMissMin + c.rnd.Uint64n(span+1)
 }
 
 // jitter draws the ambient timing noise for one instruction: one
@@ -472,13 +484,15 @@ func (x *Context) BranchTo(addr uint64, taken bool, target uint64) {
 
 // branchSite executes one branch through a previously resolved site: the
 // shared serial execution path behind BranchTo, ResolvedBranch and the
-// hooked ExecPlan fallback. A clockless core skips the cost model.
+// per-op ExecPlan fallback. A clockless core skips the cost model.
 func (x *Context) branchSite(s *bpu.Site, taken bool, target uint64) {
 	c := x.core
 	timed := c.rnd != nil
-	var cost uint64
+	var cost, extra uint64
+	var miss bool
 	if timed {
-		cost = c.timing.BranchBase + c.icacheAccess(x.domain, s.Addr())
+		extra, miss = c.icacheAccess(x.domain, s.Addr())
+		cost = c.timing.BranchBase + extra
 	}
 	predicted, btbHit, allocated := c.bpuUnit.Exec(s, taken, target)
 	if predicted != taken {
@@ -486,7 +500,8 @@ func (x *Context) branchSite(s *bpu.Site, taken bool, target uint64) {
 		x.pmc[BranchMisses]++
 		c.ctr.misses.Inc()
 	}
-	if taken && !btbHit {
+	btbMiss := taken && !btbHit
+	if btbMiss {
 		cost += c.timing.BTBMissPenalty
 		c.ctr.btbMisses.Inc()
 	}
@@ -495,7 +510,18 @@ func (x *Context) branchSite(s *bpu.Site, taken bool, target uint64) {
 		c.ctr.allocations.Inc()
 	}
 	if timed {
-		c.clock += cost + c.jitter()
+		j := c.jitter()
+		c.clock += cost + j
+		if c.tape != nil {
+			op := tapeJitter
+			if miss {
+				op |= tapeMiss
+			}
+			if btbMiss {
+				op |= tapeBTBMiss
+			}
+			c.tape.record(op, extra+j)
+		}
 	}
 	x.pmc[Instructions]++
 	x.pmc[BranchInstructions]++
@@ -547,7 +573,15 @@ func (x *Context) BranchRepeat(addr uint64, taken bool, n int) {
 func (x *Context) Nop(addr uint64) {
 	c := x.core
 	if c.rnd != nil {
-		c.clock += c.timing.BaseInstr + c.icacheAccess(x.domain, addr)
+		extra, miss := c.icacheAccess(x.domain, addr)
+		c.clock += c.timing.BaseInstr + extra
+		if c.tape != nil {
+			op := tapeOp(0)
+			if miss {
+				op = tapeMiss
+			}
+			c.tape.record(op, extra)
+		}
 	}
 	x.pmc[Instructions]++
 	c.ctr.instructions.Inc()
@@ -578,6 +612,9 @@ func (x *Context) ReadTSC() uint64 {
 	if c.rnd == nil {
 		panicClockless("ReadTSC")
 	}
+	if c.tape != nil {
+		c.tape.clockRead = true
+	}
 	c.clock += c.timing.TSCOverhead
 	if f := c.faults.TSCExtra; f != nil {
 		c.clock += f()
@@ -598,8 +635,12 @@ func (x *Context) ReadPMC(e Event) uint64 {
 		panic(fmt.Sprintf("cpu: invalid PMC event %d", int(e)))
 	}
 	x.pmcReads.Inc()
+	c := x.core
+	if c.tape != nil {
+		c.tape.pmcReads++
+	}
 	v := x.pmc[e]
-	if f := x.core.faults.PMC; f != nil {
+	if f := c.faults.PMC; f != nil {
 		v = f(e, v)
 	}
 	return v

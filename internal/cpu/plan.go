@@ -24,7 +24,9 @@ type planOp struct {
 // increments are flushed as per-run batch Adds, which preserves the
 // totals every reader observes between runs). Contexts with a retire
 // hook installed (scheduler-stepped victims) take a per-op fallback so
-// hook delivery points — the chaos preemption surface — are unchanged.
+// hook delivery points — the chaos preemption surface — are unchanged;
+// so does a timed core while Context.Repeat records its timing tape,
+// which the per-op functions write.
 //
 // Plans hold resolved bpu.Site values, which revalidate against the
 // unit's index-layout epoch inside bpu.Unit.Exec, so a plan compiled
@@ -73,10 +75,13 @@ func (p *ExecPlan) Run() {
 	x := p.x
 	switch {
 	case x.hook != nil:
-		p.runHooked()
+		p.runPerOp()
 		return
 	case x.core.rnd == nil:
 		p.runClockless()
+		return
+	case x.core.tape != nil:
+		p.runPerOp()
 		return
 	}
 	c := x.core
@@ -150,11 +155,12 @@ func (p *ExecPlan) runClockless() {
 	x.pmc[BranchAllocations] += allocs
 }
 
-// runHooked is the faithful per-op path for contexts with a retire hook
-// installed: every op goes through the exact serial execution functions,
-// so hooks fire (and may block) at the same delivery points as unbatched
-// execution.
-func (p *ExecPlan) runHooked() {
+// runPerOp is the faithful per-op path for contexts with a retire hook
+// installed and for a core recording a timing tape: every op goes
+// through the exact serial execution functions, so hooks fire (and may
+// block) at the same delivery points as unbatched execution, and the
+// tape records every op's draws.
+func (p *ExecPlan) runPerOp() {
 	for i := range p.ops {
 		op := &p.ops[i]
 		if op.branch {
