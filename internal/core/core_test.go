@@ -35,6 +35,28 @@ func TestPatternHelpers(t *testing.T) {
 	}
 }
 
+// TestPatternMode pins the block analyses' dominant-pattern rule: the
+// most frequent pattern and its share, and among equally frequent
+// patterns the first one in the input.
+func TestPatternMode(t *testing.T) {
+	for _, tc := range []struct {
+		pats  []Pattern
+		want  Pattern
+		share float64
+	}{
+		{[]Pattern{PatternMM, PatternMH, PatternMM, PatternMM, PatternHH}, PatternMM, 0.6},
+		{[]Pattern{PatternMH, PatternHH, PatternMH, PatternHH, PatternMM}, PatternMH, 0.4},
+		{[]Pattern{PatternHH, PatternMH, PatternMH, PatternHH, PatternMM}, PatternHH, 0.4},
+		{[]Pattern{PatternMM, PatternHH, PatternMH, PatternHM}, PatternMM, 0.25},
+		{[]Pattern{PatternHM, PatternMM, PatternHH, PatternMH, PatternMH, PatternHM, PatternHH}, PatternHM, 2.0 / 7},
+		{nil, "", 0},
+	} {
+		if p, share := patternMode(tc.pats); p != tc.want || share != tc.share {
+			t.Errorf("patternMode(%v) = %q %v, want %q %v", tc.pats, p, share, tc.want, tc.share)
+		}
+	}
+}
+
 func TestDecodeStateDictionary(t *testing.T) {
 	cases := []struct {
 		tt, nn Pattern

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"branchscope/internal/cpu"
 	"branchscope/internal/rng"
-	"branchscope/internal/stats"
 )
 
 // Multi-branch spying (§6.3: "Knowing the states of PHT entries
@@ -117,24 +117,59 @@ type MultiSession struct {
 	targets []MultiTarget
 }
 
-// generateMultiBlock builds a focused block whose alias branches cover
-// every target.
-func generateMultiBlock(r *rng.Source, cfg MultiConfig) *Block {
-	b := GenerateBlock(r, cfg.SpyBase, cfg.BlockBranches)
-	// Rebuild with aliases: interleave per-target alias branches into
-	// the scramble stream. (Construct a fresh block: one third aliases
-	// round-robin over targets, the rest Listing 1 layout.)
-	return mixAliases(r, b, cfg.Targets)
+// multiSearch is what NewMultiSession's search reuses across
+// candidates: the candidate block, the Listing 1 layout it is built
+// from, the candidate's compiled plan, the resolved probes and the
+// observation and target buffers. A session gets its own copies of the
+// block and targets it accepts.
+type multiSearch struct {
+	spy    *cpu.Context
+	cfg    MultiConfig
+	layout Block
+	block  Block
+	probes []cpu.ResolvedBranch
+	// pats[0] holds the taken-probe observations per target, pats[1]
+	// the not-taken ones, each with room for every repetition.
+	pats    [2][][]Pattern
+	targets []MultiTarget
 }
 
-// mixAliases interleaves alias branches for each target into a block.
-// Alias directions are biased toward not-taken: every decoded state is
-// usable on textbook parts, but on the Skylake FSM the extra taken-side
-// state folds the upper states into an ambiguous "ST" decode (Table 1
+func newMultiSearch(spy *cpu.Context, cfg MultiConfig) *multiSearch {
+	n := len(cfg.Targets)
+	s := &multiSearch{spy: spy, cfg: cfg, probes: make([]cpu.ResolvedBranch, n), targets: make([]MultiTarget, 0, n)}
+	for i, addr := range cfg.Targets {
+		s.probes[i] = spy.ResolveBranch(addr)
+	}
+	buf := make([]Pattern, 2*n*cfg.Reps)
+	for d := range s.pats {
+		s.pats[d] = make([][]Pattern, n)
+		for i := range s.pats[d] {
+			s.pats[d][i], buf = buf[:0:cfg.Reps], buf[cfg.Reps:]
+		}
+	}
+	return s
+}
+
+// generate builds the next candidate: a focused block whose alias
+// branches cover every target. It lays out a Listing 1 block, then
+// interleaves per-target alias branches into its scramble stream: one
+// third aliases round-robin over targets, the rest Listing 1 layout.
+func (s *multiSearch) generate(r *rng.Source) {
+	s.layout.layListing(r, s.cfg.SpyBase, s.cfg.BlockBranches)
+	mixAliases(r, &s.block, &s.layout, s.cfg.Targets)
+	s.block.recompile()
+}
+
+// mixAliases lays out into out the base block with alias branches for
+// each target interleaved, reusing out's site buffer. Alias directions
+// are biased toward not-taken: every decoded state is usable on
+// textbook parts, but on the Skylake FSM the extra taken-side state
+// folds the upper states into an ambiguous "ST" decode (Table 1
 // footnote), so skewing the per-target walk toward the not-taken side
 // raises the yield of jointly usable blocks considerably.
-func mixAliases(r *rng.Source, base *Block, targets []uint64) *Block {
-	out := &Block{Base: base.Base, Label: "multi-focused", end: base.end}
+func mixAliases(r *rng.Source, out, base *Block, targets []uint64) {
+	out.Base, out.Label, out.end = base.Base, "multi-focused", base.end
+	out.sites, out.branches = out.sites[:0], 0
 	ti := 0
 	for _, s := range base.sites {
 		if !s.nop && r.Intn(3) == 0 {
@@ -150,46 +185,35 @@ func mixAliases(r *rng.Source, base *Block, targets []uint64) *Block {
 			out.branches++
 		}
 	}
-	return out
 }
 
-// analyzeMulti characterizes a block against every target at once: each
-// analysis repetition runs the block once and probes all targets, so the
-// per-candidate cost grows only marginally with the target count. The
-// repetitions go through cpu.Context.Repeat, which stops simulating
-// once they repeat.
-func analyzeMulti(spy *cpu.Context, block *Block, cfg MultiConfig) ([]MultiTarget, bool) {
-	n := len(cfg.Targets)
-	probes := make([]cpu.ResolvedBranch, n)
-	for i, addr := range cfg.Targets {
-		probes[i] = spy.ResolveBranch(addr)
-	}
-	// pats[0] holds the taken-probe observations per target, pats[1]
-	// the not-taken ones, each with room for every repetition.
-	var pats [2][][]Pattern
-	buf := make([]Pattern, 2*n*cfg.Reps)
-	for d := range pats {
-		pats[d] = make([][]Pattern, n)
-		for i := range pats[d] {
-			pats[d][i], buf = buf[:0:cfg.Reps], buf[cfg.Reps:]
-		}
-	}
+// analyze characterizes the candidate against every target at once:
+// each analysis repetition runs the block once and probes all targets,
+// so the per-candidate cost grows only marginally with the target
+// count. The repetitions go through cpu.Context.Repeat, which stops
+// simulating once they repeat. It returns the per-target decode
+// contexts in the search's target buffer.
+func (s *multiSearch) analyze() ([]MultiTarget, bool) {
+	spy, cfg := s.spy, s.cfg
 	for d, taken := range []bool{true, false} {
-		obs := pats[d]
+		obs := s.pats[d]
+		for i := range obs {
+			obs[i] = obs[i][:0]
+		}
 		spy.Repeat(cfg.Reps, func() {
-			block.Run(spy)
-			for i := range probes {
-				obs[i] = append(obs[i], probePattern(spy, &probes[i], taken))
+			s.block.Run(spy)
+			for i := range s.probes {
+				obs[i] = append(obs[i], probePattern(spy, &s.probes[i], taken))
 			}
 		})
 		for i := range obs {
 			obs[i] = fillRepeated(obs[i], cfg.Reps)
 		}
 	}
-	targets := make([]MultiTarget, 0, n)
+	s.targets = s.targets[:0]
 	for i, addr := range cfg.Targets {
-		tt, ft := stats.Mode(pats[0][i])
-		nn, fn := stats.Mode(pats[1][i])
+		tt, ft := patternMode(s.pats[0][i])
+		nn, fn := patternMode(s.pats[1][i])
 		if ft < cfg.Stability || fn < cfg.Stability {
 			return nil, false
 		}
@@ -199,11 +223,11 @@ func analyzeMulti(spy *cpu.Context, block *Block, cfg MultiConfig) ([]MultiTarge
 		if !usable {
 			return nil, false
 		}
-		targets = append(targets, MultiTarget{
+		s.targets = append(s.targets, MultiTarget{
 			Addr: addr, Primed: state, ProbeTaken: probeDirFor(state),
 		})
 	}
-	return targets, true
+	return s.targets, true
 }
 
 // selfVerify replays §6.1's within-process mimicry against a candidate
@@ -258,15 +282,17 @@ func NewMultiSession(spy *cpu.Context, r *rng.Source, cfg MultiConfig) (*MultiSe
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("core: MultiConfig.Targets empty")
 	}
+	s := newMultiSearch(spy, cfg)
 	for cand := 0; cand < cfg.MaxCandidates; cand++ {
-		block := generateMultiBlock(r, cfg)
-		targets, ok := analyzeMulti(spy, block, cfg)
+		s.generate(r)
+		targets, ok := s.analyze()
 		if !ok {
 			continue
 		}
-		ms := &MultiSession{spy: spy, cfg: cfg, block: block, targets: targets}
+		ms := &MultiSession{spy: spy, cfg: cfg, block: &s.block, targets: targets}
 		// Cheap filter, then a rigorous confirmation of the survivor.
 		if ms.selfVerify(r, 6, 5) && ms.selfVerify(r, 30, 27) {
+			ms.block, ms.targets = s.block.clone(), slices.Clone(targets)
 			return ms, nil
 		}
 	}

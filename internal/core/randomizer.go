@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"branchscope/internal/cpu"
 	"branchscope/internal/rng"
@@ -60,17 +61,35 @@ func (b *Block) Span() uint64 {
 // the serial instruction walk (see cpu.ExecPlan).
 func (b *Block) Run(ctx *cpu.Context) {
 	if b.planCtx != ctx {
-		plan := ctx.NewPlan(len(b.sites))
-		for _, s := range b.sites {
-			if s.nop {
-				plan.Nop(s.addr)
-				continue
-			}
-			plan.Branch(s.addr, s.taken)
-		}
-		b.plan, b.planCtx = plan, ctx
+		b.plan, b.planCtx = ctx.NewPlan(len(b.sites)), ctx
+		b.compile()
 	}
 	b.plan.Run()
+}
+
+// compile appends the block's sites to its plan.
+func (b *Block) compile() {
+	for _, s := range b.sites {
+		if s.nop {
+			b.plan.Nop(s.addr)
+			continue
+		}
+		b.plan.Branch(s.addr, s.taken)
+	}
+}
+
+// recompile rebuilds the block's plan, if it has one, after its sites
+// changed. The plan keeps its context and its buffer.
+func (b *Block) recompile() {
+	if b.plan != nil {
+		b.plan.Reset()
+		b.compile()
+	}
+}
+
+// clone returns a copy of the block's code, with no compiled plan.
+func (b *Block) clone() *Block {
+	return &Block{Base: b.Base, Label: b.Label, sites: slices.Clone(b.sites), branches: b.branches, end: b.end}
 }
 
 // String implements fmt.Stringer.
@@ -84,10 +103,17 @@ func (b *Block) String() string {
 // subsequent branches) and each branch's direction drawn uniformly.
 // This is the block flavour whose bulk statistics Figure 4 characterizes.
 func GenerateBlock(r *rng.Source, base uint64, nBranches int) *Block {
+	b := new(Block)
+	b.layListing(r, base, nBranches)
+	return b
+}
+
+// layListing lays b out as GenerateBlock does, reusing its site buffer.
+func (b *Block) layListing(r *rng.Source, base uint64, nBranches int) {
 	if nBranches <= 0 {
 		panic("core: block needs at least one branch")
 	}
-	b := &Block{Base: base, Label: "listing1"}
+	b.Base, b.Label, b.sites = base, "listing1", b.sites[:0]
 	addr := base
 	for i := 0; i < nBranches; i++ {
 		b.sites = append(b.sites, site{addr: addr, taken: r.Bool()})
@@ -99,7 +125,6 @@ func GenerateBlock(r *rng.Source, base uint64, nBranches int) *Block {
 	}
 	b.branches = nBranches
 	b.end = addr
-	return b
 }
 
 // GenerateFocusedBlock produces the shortened block flavour the paper

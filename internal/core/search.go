@@ -5,7 +5,6 @@ import (
 
 	"branchscope/internal/cpu"
 	"branchscope/internal/rng"
-	"branchscope/internal/stats"
 )
 
 // BlockAnalysis is the statistical characterization of one candidate
@@ -106,13 +105,13 @@ func AnalyzeBlock(ctx *cpu.Context, b *Block, cfg SearchConfig) BlockAnalysis {
 				cfg.OnRep()
 				pats = append(pats, probePattern(ctx, &rb, taken))
 			}
-			return stats.Mode(pats)
+			return patternMode(pats)
 		}
 		ctx.Repeat(cfg.Reps, func() {
 			b.Run(ctx)
 			pats = append(pats, probePattern(ctx, &rb, taken))
 		})
-		return stats.Mode(fillRepeated(pats, cfg.Reps))
+		return patternMode(fillRepeated(pats, cfg.Reps))
 	}
 	a.PatTT, a.FreqTT = collect(true)
 	a.PatNN, a.FreqNN = collect(false)
@@ -123,6 +122,28 @@ func AnalyzeBlock(ctx *cpu.Context, b *Block, cfg SearchConfig) BlockAnalysis {
 		a.State = StateUnknown
 	}
 	return a
+}
+
+// patternMode returns the most frequent pattern in pats and its share
+// of the total, counting in a fixed array. Ties go to the pattern that
+// appears first in pats, so the result depends only on the input. For
+// an empty slice it returns "" and 0.
+func patternMode(pats []Pattern) (Pattern, float64) {
+	var best Pattern
+	if len(pats) == 0 {
+		return best, 0
+	}
+	var n [4]int
+	for _, p := range pats {
+		n[patternIndex(p)]++
+	}
+	bestN := 0
+	for _, p := range pats {
+		if c := n[patternIndex(p)]; c > bestN {
+			best, bestN = p, c
+		}
+	}
+	return best, float64(bestN) / float64(len(pats))
 }
 
 // fillRepeated extends pats to n observations with copies of its last

@@ -48,6 +48,10 @@ func (x *Context) NewPlan(capacity int) *ExecPlan {
 // Len returns the number of compiled ops.
 func (p *ExecPlan) Len() int { return len(p.ops) }
 
+// Reset empties the plan and keeps its context and its buffer, so a new
+// op sequence can be compiled into it.
+func (p *ExecPlan) Reset() { p.ops = p.ops[:0] }
+
 // Branch appends a conditional branch at addr with the default
 // fall-through target convention of Context.Branch (addr+16).
 func (p *ExecPlan) Branch(addr uint64, taken bool) {

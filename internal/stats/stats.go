@@ -92,34 +92,6 @@ func Hamming[T comparable](a, b []T) int {
 	return d
 }
 
-// Freq counts occurrences of each value in xs.
-func Freq[T comparable](xs []T) map[T]int {
-	m := make(map[T]int)
-	for _, x := range xs {
-		m[x]++
-	}
-	return m
-}
-
-// Mode returns the most frequent value in xs and its share of the total.
-// For an empty slice it returns the zero value and 0. Ties go to the
-// value that appears first in xs, so the result depends only on the
-// input, never on map iteration order.
-func Mode[T comparable](xs []T) (T, float64) {
-	var best T
-	if len(xs) == 0 {
-		return best, 0
-	}
-	counts := Freq(xs)
-	bestN := 0
-	for _, v := range xs {
-		if n := counts[v]; n > bestN {
-			best, bestN = v, n
-		}
-	}
-	return best, float64(bestN) / float64(len(xs))
-}
-
 // Summary holds the first two moments of a sample set, convenient for
 // rendering "mean ± stddev" rows.
 type Summary struct {

@@ -79,45 +79,6 @@ func TestHamming(t *testing.T) {
 	}
 }
 
-func TestModeAndFreq(t *testing.T) {
-	xs := []string{"MM", "MH", "MM", "MM", "HH"}
-	v, share := Mode(xs)
-	if v != "MM" || !almost(share, 0.6) {
-		t.Errorf("Mode = %q %v", v, share)
-	}
-	f := Freq(xs)
-	if f["MM"] != 3 || f["MH"] != 1 || f["HH"] != 1 {
-		t.Errorf("Freq = %v", f)
-	}
-	var empty []int
-	if _, share := Mode(empty); share != 0 {
-		t.Errorf("Mode(empty) share = %v", share)
-	}
-}
-
-// TestModeTieBreakIsFirstAppearance pins Mode's tie-break: among equally
-// frequent values the first one in the input wins, on every call. Map
-// iteration order is randomized per range statement, so a tie-break that
-// depends on it returns different values across repeated calls.
-func TestModeTieBreakIsFirstAppearance(t *testing.T) {
-	for _, tc := range []struct {
-		xs   []string
-		want string
-	}{
-		{[]string{"MH", "HH", "MH", "HH", "MM"}, "MH"},
-		{[]string{"HH", "MH", "MH", "HH", "MM"}, "HH"},
-		{[]string{"MM", "HH", "MH", "HM"}, "MM"},
-		{[]string{"HM", "MM", "HH", "MH", "MH", "HM", "HH"}, "HM"},
-	} {
-		for i := 0; i < 200; i++ {
-			if v, share := Mode(tc.xs); v != tc.want {
-				t.Fatalf("call %d: Mode(%v) = %q (share %v), want the first-appearing tie %q",
-					i, tc.xs, v, share, tc.want)
-			}
-		}
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if s.N != 3 || !almost(s.Mean, 2) || !almost(s.Min, 1) || !almost(s.Max, 3) {
