@@ -421,7 +421,6 @@ type Context struct {
 	domain uint64
 	pmc    [numEvents]uint64
 	hook   Hook
-	settle *settleRecord // Repeat's record, allocated on first use
 
 	// tid is the trace thread id (0 when telemetry is disabled);
 	// tscReads/pmcReads are the per-context counter-read metrics.

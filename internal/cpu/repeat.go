@@ -1,6 +1,10 @@
 package cpu
 
-import "branchscope/internal/bpu"
+import (
+	"sync"
+
+	"branchscope/internal/bpu"
+)
 
 // settleEvery is Repeat's checking cadence: it checks every
 // settleEvery-th repetition, so it simulates at most settleEvery−1
@@ -11,9 +15,7 @@ import "branchscope/internal/bpu"
 const settleEvery = 4
 
 // settleRecord is the machine as Repeat recorded it before a checked
-// repetition, and that repetition's timing tape. A context keeps one
-// across calls, so the search's thousands of analyses reuse its
-// buffers.
+// repetition, and that repetition's timing tape.
 type settleRecord struct {
 	state  bpu.Snapshot
 	diag   bpu.Diagnostics
@@ -22,6 +24,11 @@ type settleRecord struct {
 	clock  uint64
 	tape   timingTape
 }
+
+// settleRecords recycles Repeat's records, about 160 KB each on the
+// Skylake model, across calls and machines: a search makes thousands of
+// calls, and the covert sender builds a fresh machine per message.
+var settleRecords = sync.Pool{New: func() any { return new(settleRecord) }}
 
 // tapeOp is one retired branch or nop on a timing tape.
 type tapeOp uint8
@@ -124,26 +131,25 @@ func (x *Context) Repeat(n int, rep func()) (simulated int) {
 		}
 		return n
 	}
-	if x.settle == nil {
-		x.settle = new(settleRecord)
-	}
+	rec := settleRecords.Get().(*settleRecord)
+	defer settleRecords.Put(rec)
 	for i := 1; i <= n; i++ {
 		if i%settleEvery != 0 || i == n {
 			rep()
 			continue
 		}
-		if x.checkedRep(rep) {
-			x.advance(uint64(n - i))
+		if x.checkedRep(rec, rep) {
+			x.advance(rec, uint64(n-i))
 			return i
 		}
 	}
 	return n
 }
 
-// checkedRep records the machine, runs rep once with the timing tape
-// attached and reports whether the repetition settled.
-func (x *Context) checkedRep(rep func()) bool {
-	c, rec := x.core, x.settle
+// checkedRep records the machine into rec, runs rep once with the
+// timing tape attached and reports whether the repetition settled.
+func (x *Context) checkedRep(rec *settleRecord, rep func()) bool {
+	c := x.core
 	c.bpuUnit.SnapshotInto(&rec.state)
 	c.bpuUnit.DiagnosticsInto(&rec.diag)
 	rec.pmc, rec.icache, rec.clock = x.pmc, c.icache, c.clock
@@ -156,10 +162,9 @@ func (x *Context) checkedRep(rep func()) bool {
 }
 
 // advance applies k more repetitions of the settled one recorded in
-// x.settle.
-func (x *Context) advance(k uint64) {
-	c, rec := x.core, x.settle
-	t := &rec.tape
+// rec.
+func (x *Context) advance(rec *settleRecord, k uint64) {
+	c, t := x.core, &rec.tape
 	var d [numEvents]uint64
 	for e := range x.pmc {
 		d[e] = x.pmc[e] - rec.pmc[e]
