@@ -9,9 +9,9 @@ import (
 // settleEvery is Repeat's checking cadence: it checks every
 // settleEvery-th repetition, so it simulates at most settleEvery−1
 // repetitions past the one that settles. A check copies and compares
-// the predictor state (about 150 KB on the Skylake model);
-// BenchmarkBlockSearch measured cadences from 1 to 8 within a few
-// percent of each other.
+// the predictor state and the icache (about 160 KB on the Skylake
+// model); BenchmarkBlockSearch measured cadences from 1 to 8 within a
+// few percent of each other on clockless machines.
 const settleEvery = 4
 
 // settleRecord is the machine as Repeat recorded it before a checked
@@ -153,8 +153,7 @@ func (x *Context) checkedRep(rec *settleRecord, rep func()) bool {
 	c.bpuUnit.SnapshotInto(&rec.state)
 	c.bpuUnit.DiagnosticsInto(&rec.diag)
 	rec.pmc, rec.icache, rec.clock = x.pmc, c.icache, c.clock
-	rec.tape.ops = rec.tape.ops[:0]
-	rec.tape.drawn, rec.tape.pmcReads, rec.tape.clockRead = 0, 0, false
+	rec.tape = timingTape{ops: rec.tape.ops[:0]}
 	c.tape = &rec.tape
 	defer func() { c.tape = nil }()
 	rep()
