@@ -5,6 +5,7 @@ import (
 
 	"branchscope/internal/cpu"
 	"branchscope/internal/rng"
+	"branchscope/internal/stats"
 )
 
 // BlockAnalysis is the statistical characterization of one candidate
@@ -126,24 +127,11 @@ func AnalyzeBlock(ctx *cpu.Context, b *Block, cfg SearchConfig) BlockAnalysis {
 
 // patternMode returns the most frequent pattern in pats and its share
 // of the total, counting in a fixed array. Ties go to the pattern that
-// appears first in pats, so the result depends only on the input. For
-// an empty slice it returns "" and 0.
+// appears first in pats (stats.Mode's rule), so the result depends only
+// on the input. For an empty slice it returns "" and 0.
 func patternMode(pats []Pattern) (Pattern, float64) {
-	var best Pattern
-	if len(pats) == 0 {
-		return best, 0
-	}
 	var n [4]int
-	for _, p := range pats {
-		n[patternIndex(p)]++
-	}
-	bestN := 0
-	for _, p := range pats {
-		if c := n[patternIndex(p)]; c > bestN {
-			best, bestN = p, c
-		}
-	}
-	return best, float64(bestN) / float64(len(pats))
+	return stats.Mode(pats, patternIndex, n[:])
 }
 
 // fillRepeated extends pats to n observations with copies of its last

@@ -92,6 +92,36 @@ func Hamming[T comparable](a, b []T) int {
 	return d
 }
 
+// Freq counts occurrences of each value in xs into counts, at the slot
+// index gives the value; it zeroes counts first. index must map every
+// value of xs into [0, len(counts)).
+func Freq[T any](xs []T, index func(T) int, counts []int) {
+	clear(counts)
+	for _, x := range xs {
+		counts[index(x)]++
+	}
+}
+
+// Mode returns the most frequent value in xs and its share of the total,
+// counting through Freq into counts, so a caller with a small value set
+// and a fixed array allocates nothing. For an empty slice it returns the
+// zero value and 0. Ties go to the value that appears first in xs, so
+// the result depends only on the input.
+func Mode[T any](xs []T, index func(T) int, counts []int) (T, float64) {
+	var best T
+	if len(xs) == 0 {
+		return best, 0
+	}
+	Freq(xs, index, counts)
+	bestN := 0
+	for _, x := range xs {
+		if n := counts[index(x)]; n > bestN {
+			best, bestN = x, n
+		}
+	}
+	return best, float64(bestN) / float64(len(xs))
+}
+
 // Summary holds the first two moments of a sample set, convenient for
 // rendering "mean ± stddev" rows.
 type Summary struct {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +77,54 @@ func TestHamming(t *testing.T) {
 	}
 	if got := Hamming([]string{"a"}, []string{"a"}); got != 0 {
 		t.Errorf("Hamming equal = %d", got)
+	}
+}
+
+// twoBit lists the four probe patterns; twoBitIndex is their slot for
+// Freq and Mode.
+var twoBit = []string{"HH", "HM", "MH", "MM"}
+
+func twoBitIndex(s string) int { return slices.Index(twoBit, s) }
+
+func TestModeAndFreq(t *testing.T) {
+	xs := []string{"MM", "MH", "MM", "MM", "HH"}
+	var counts [4]int
+	v, share := Mode(xs, twoBitIndex, counts[:])
+	if v != "MM" || !almost(share, 0.6) {
+		t.Errorf("Mode = %q %v", v, share)
+	}
+	// counts still hold Mode's tally: Freq must start from zero.
+	Freq(xs, twoBitIndex, counts[:])
+	if counts != [4]int{1, 0, 1, 3} {
+		t.Errorf("Freq = %v", counts)
+	}
+	var empty []int
+	if _, share := Mode(empty, func(x int) int { return x }, counts[:]); share != 0 {
+		t.Errorf("Mode(empty) share = %v", share)
+	}
+}
+
+// TestModeTieBreakIsFirstAppearance pins Mode's tie-break: among equally
+// frequent values the first one in the input wins, on every call, with
+// one counts array reused across the calls as the block analyses reuse
+// theirs.
+func TestModeTieBreakIsFirstAppearance(t *testing.T) {
+	var counts [4]int
+	for _, tc := range []struct {
+		xs   []string
+		want string
+	}{
+		{[]string{"MH", "HH", "MH", "HH", "MM"}, "MH"},
+		{[]string{"HH", "MH", "MH", "HH", "MM"}, "HH"},
+		{[]string{"MM", "HH", "MH", "HM"}, "MM"},
+		{[]string{"HM", "MM", "HH", "MH", "MH", "HM", "HH"}, "HM"},
+	} {
+		for i := 0; i < 200; i++ {
+			if v, share := Mode(tc.xs, twoBitIndex, counts[:]); v != tc.want {
+				t.Fatalf("call %d: Mode(%v) = %q (share %v), want the first-appearing tie %q",
+					i, tc.xs, v, share, tc.want)
+			}
+		}
 	}
 }
 
