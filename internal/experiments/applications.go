@@ -94,6 +94,7 @@ func (r MontgomeryExpResult) Rows() []engine.Row {
 		engine.F("exponent_bits", r.Config.ExponentBits),
 		engine.F("majority", r.Config.Majority),
 		engine.F("bit_errors", r.Result.BitErrors),
+		engine.F("error_rate", r.Result.ErrorRate()),
 		engine.F("exact", r.Exact),
 	}}
 }
