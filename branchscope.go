@@ -196,13 +196,6 @@ var (
 // figure of the paper (see DESIGN.md for the index).
 func Experiments() []Experiment { return experiments.All() }
 
-// Validate runs the reproduction scorecard: quick-scale regenerations of
-// every artifact checked against the paper's qualitative claims. The
-// context carries cancellation and, via WithPool, the parallelism bound.
-func Validate(ctx context.Context, seed uint64) (experiments.Scorecard, error) {
-	return experiments.Validate(ctx, seed)
-}
-
 // RunPoisoningDemo runs the branch-poisoning study (§1 extension):
 // rounds of forcing a victim branch to mispredict on demand.
 func RunPoisoningDemo(ctx context.Context, rounds int, seed uint64) (experiments.PoisoningResult, error) {

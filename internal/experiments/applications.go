@@ -42,9 +42,6 @@ func (c MontgomeryConfig) withDefaults() MontgomeryConfig {
 	return c
 }
 
-// QuickMontgomeryConfig returns a test-scale configuration.
-func QuickMontgomeryConfig() MontgomeryConfig { return MontgomeryConfig{ExponentBits: 128} }
-
 // MontgomeryExpResult reports the experiment.
 type MontgomeryExpResult struct {
 	Config MontgomeryConfig
@@ -116,9 +113,6 @@ func (c JPEGConfig) withDefaults() JPEGConfig {
 	}
 	return c
 }
-
-// QuickJPEGConfig returns a test-scale configuration.
-func QuickJPEGConfig() JPEGConfig { return JPEGConfig{Blocks: 6} }
 
 // JPEGExpResult reports the experiment: the per-branch-session recovery
 // and the §6.3 single-episode multi-branch variant.
@@ -221,9 +215,6 @@ func (c ASLRConfig) withDefaults() ASLRConfig {
 	return c
 }
 
-// QuickASLRConfig returns a test-scale configuration.
-func QuickASLRConfig() ASLRConfig { return ASLRConfig{Slides: 32, Reps: 5} }
-
 // ASLRExpResult reports the experiment.
 type ASLRExpResult struct {
 	Config ASLRConfig
@@ -315,9 +306,6 @@ func (c BTBBaselineConfig) withDefaults() BTBBaselineConfig {
 	}
 	return c
 }
-
-// QuickBTBBaselineConfig returns a test-scale configuration.
-func QuickBTBBaselineConfig() BTBBaselineConfig { return BTBBaselineConfig{Bits: 600} }
 
 // BTBBaselineResult compares the channels.
 type BTBBaselineResult struct {

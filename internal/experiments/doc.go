@@ -1,13 +1,16 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation on the simulated substrate. Each experiment has a Config
-// with paper-scale defaults and a Quick variant for tests, and a
-// Run(ctx, cfg) (Result, error) entry point: runs honor context
-// cancellation at coarse checkpoints inside their hot loops, and every
-// result satisfies engine.Result — a String renderer printing the same
-// rows/series the paper reports plus Rows() for structured export.
+// whose zero value is paper scale, and a Run(ctx, cfg) (Result, error)
+// entry point: runs honor context cancellation at coarse checkpoints
+// inside their hot loops, and every result satisfies engine.Result — a
+// String renderer printing the same rows/series the paper reports plus
+// Rows() for structured export.
 //
-// The registry (All, ByID, Tasks) adapts each runner to an engine.Task
-// so cmd/experiments can schedule them on a bounded worker pool.
+// The registry (All) declares each experiment once: its ID, artifact,
+// description, breaker family, quick configuration, runner and the
+// paper's claims about it. ByID and Tasks adapt the entries to
+// engine.Tasks so cmd/experiments can schedule them on a bounded worker
+// pool, and Score judges the claims on a run's export.
 // Experiments that fan out internally (per CPU model, noise setting, or
 // ablation point) derive each unit's seed from the task seed and the
 // unit's labels via engine.DeriveSeed and fan out with engine.Map, so

@@ -11,13 +11,27 @@ import (
 	"branchscope/internal/uarch"
 )
 
-func TestFig2Shape(t *testing.T) {
-	cfg := QuickFig2Config()
-	cfg.Seed = 2
-	r, err := RunFig2(context.Background(), cfg)
+// runQuick runs experiment id's registry entry at quick scale on seed
+// and returns its result as the type the entry's runner returns.
+func runQuick[R engine.Result](t *testing.T, id string, seed uint64) R {
+	t.Helper()
+	e, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := e.Run(context.Background(), engine.Config{Quick: true, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := res.(R)
+	if !ok {
+		t.Fatalf("%s returned %T", id, res)
+	}
+	return r
+}
+
+func TestFig2Shape(t *testing.T) {
+	r := runQuick[Fig2Result](t, "fig2", 2)
 	if len(r.Series) != 2 {
 		t.Fatalf("series = %d, want 2", len(r.Series))
 	}
@@ -49,8 +63,15 @@ func TestTable1AllModelsMatchPaper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.MatchesPaper() {
-			t.Errorf("%s does not match the paper:\n%s", m.Name, res)
+		want := PaperTable1(m.Name == "Skylake")
+		if len(res.Entries) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", m.Name, len(res.Entries), len(want))
+		}
+		for i, row := range res.Entries {
+			if row.Observation != want[i] {
+				t.Errorf("%s does not match the paper:\n%s", m.Name, res)
+				break
+			}
 		}
 	}
 }
@@ -75,12 +96,7 @@ func TestTable1SkylakeFootnote(t *testing.T) {
 }
 
 func TestFig4Distribution(t *testing.T) {
-	cfg := QuickFig4Config()
-	cfg.Seed = 3
-	r, err := RunFig4(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[Fig4Result](t, "fig4", 3)
 	if r.StableShare < 0.55 || r.StableShare > 0.99 {
 		t.Errorf("stable share %.2f outside plausible band (paper: 0.83)", r.StableShare)
 	}
@@ -92,18 +108,13 @@ func TestFig4Distribution(t *testing.T) {
 	if r.Distribution[core.StateUnknown] == 0 {
 		t.Error("no unknown blocks at all; system noise not reflected")
 	}
-	if len(r.Points) != cfg.Blocks {
-		t.Errorf("points = %d, want %d", len(r.Points), cfg.Blocks)
+	if len(r.Points) != r.Config.Blocks {
+		t.Errorf("points = %d, want %d", len(r.Points), r.Config.Blocks)
 	}
 }
 
 func TestFig5DiscoversTrueSize(t *testing.T) {
-	cfg := QuickFig5Config()
-	cfg.Seed = 5
-	r, err := RunFig5(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[Fig5Result](t, "fig5", 5)
 	if r.DiscoveredSize != r.TrueSize {
 		t.Errorf("discovered %d, true %d", r.DiscoveredSize, r.TrueSize)
 	}
@@ -145,12 +156,7 @@ func TestFig6Demonstration(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	cfg := QuickTable2Config()
-	cfg.Seed = 22
-	r, err := RunTable2(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[Table2Result](t, "table2", 22)
 	if len(r.Cells) != 6 {
 		t.Fatalf("cells = %d, want 6 rows", len(r.Cells))
 	}
@@ -180,12 +186,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFig7Separation(t *testing.T) {
-	cfg := QuickFig7Config()
-	cfg.Seed = 77
-	r, err := RunFig7(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[Fig7Result](t, "fig7", 77)
 	for _, taken := range []bool{false, true} {
 		hit := r.Case(taken, false).Summary.Mean
 		miss := r.Case(taken, true).Summary.Mean
@@ -197,12 +198,7 @@ func TestFig7Separation(t *testing.T) {
 }
 
 func TestFig8ErrorShrinksWithAveraging(t *testing.T) {
-	cfg := QuickFig8Config()
-	cfg.Seed = 88
-	r, err := RunFig8(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[Fig8Result](t, "fig8", 88)
 	first := r.Points[0]
 	last := r.Points[len(r.Points)-1]
 	// The paper: 1st measurement 20-30% error, 2nd ~10%, both falling
@@ -225,12 +221,7 @@ func TestFig8ErrorShrinksWithAveraging(t *testing.T) {
 }
 
 func TestFig9StatesDistinguishable(t *testing.T) {
-	cfg := QuickFig9Config()
-	cfg.Seed = 99
-	r, err := RunFig9(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[Fig9Result](t, "fig9", 99)
 	if len(r.Cells) != 8 {
 		t.Fatalf("cells = %d, want 8", len(r.Cells))
 	}
@@ -282,12 +273,7 @@ func TestTable3SGXBeatsUserSpace(t *testing.T) {
 }
 
 func TestMitigationsAblation(t *testing.T) {
-	cfg := QuickMitigationsConfig()
-	cfg.Seed = 10
-	r, err := RunMitigations(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[MitigationsResult](t, "mitigations", 10)
 	rates := map[bpu.Mitigation]float64{}
 	for _, row := range r.Cells {
 		rates[row.Mitigation] = row.ErrorRate
@@ -308,12 +294,7 @@ func TestMitigationsAblation(t *testing.T) {
 }
 
 func TestMontgomeryExperiment(t *testing.T) {
-	cfg := QuickMontgomeryConfig()
-	cfg.Seed = 11
-	r, err := RunMontgomery(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[MontgomeryExpResult](t, "montgomery", 11)
 	if r.Result.ErrorRate() > 0.02 {
 		t.Errorf("bit error rate %.2f%%", 100*r.Result.ErrorRate())
 	}
@@ -323,24 +304,14 @@ func TestMontgomeryExperiment(t *testing.T) {
 }
 
 func TestJPEGExperiment(t *testing.T) {
-	cfg := QuickJPEGConfig()
-	cfg.Seed = 12
-	r, err := RunJPEG(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[JPEGExpResult](t, "jpeg", 12)
 	if r.Result.ErrorRate() > 0.05 {
 		t.Errorf("branch error rate %.2f%%", 100*r.Result.ErrorRate())
 	}
 }
 
 func TestASLRExperiment(t *testing.T) {
-	cfg := QuickASLRConfig()
-	cfg.Seed = 13
-	r, err := RunASLR(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[ASLRExpResult](t, "aslr", 13)
 	if !r.Pinpointed {
 		t.Errorf("slide not pinpointed: %s", r.String())
 	}
@@ -350,12 +321,7 @@ func TestASLRExperiment(t *testing.T) {
 }
 
 func TestBTBBaselineComparison(t *testing.T) {
-	cfg := QuickBTBBaselineConfig()
-	cfg.Seed = 14
-	r, err := RunBTBBaseline(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[BTBBaselineResult](t, "btb", 14)
 	if r.BTBError <= r.BranchScope {
 		t.Errorf("BTB channel (%.2f%%) not worse than BranchScope (%.2f%%)",
 			100*r.BTBError, 100*r.BranchScope)
@@ -369,15 +335,24 @@ func TestBTBBaselineComparison(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	seen := map[string]bool{}
+	seen, claims := map[string]bool{}, 0
 	for _, e := range All() {
-		if e.ID == "" || e.Artifact == "" || e.Description == "" || e.Run == nil {
+		if e.ID == "" || e.Artifact == "" || e.Description == "" || e.Family == "" || e.Run == nil {
 			t.Errorf("incomplete experiment: %+v", e)
 		}
 		if seen[e.ID] {
 			t.Errorf("duplicate experiment ID %q", e.ID)
 		}
 		seen[e.ID] = true
+		for _, c := range e.Claims {
+			if c.Artifact == "" || c.Text == "" || c.check == nil {
+				t.Errorf("%s: incomplete claim %+v", e.ID, c)
+			}
+		}
+		claims += len(e.Claims)
+	}
+	if claims != 17 {
+		t.Errorf("registry declares %d claims, want 17", claims)
 	}
 	if _, err := ByID("fig2"); err != nil {
 		t.Errorf("ByID(fig2): %v", err)
@@ -425,12 +400,7 @@ func TestBitPatternBits(t *testing.T) {
 }
 
 func TestIfConversionClosesChannel(t *testing.T) {
-	cfg := QuickIfConversionConfig()
-	cfg.Seed = 20
-	r, err := RunIfConversion(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[IfConversionResult](t, "ifconversion", 20)
 	if r.BranchyError > 0.02 {
 		t.Errorf("baseline ladder recovery error %.2f%%", 100*r.BranchyError)
 	}
@@ -443,12 +413,7 @@ func TestIfConversionClosesChannel(t *testing.T) {
 }
 
 func TestPoisoningForcesMispredictions(t *testing.T) {
-	cfg := QuickPoisoningConfig()
-	cfg.Seed = 21
-	r, err := RunPoisoning(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[PoisoningResult](t, "poisoning", 21)
 	if r.BaselineMissRate > 0.05 {
 		t.Errorf("baseline miss rate %.2f%%", 100*r.BaselineMissRate)
 	}
@@ -464,12 +429,7 @@ func TestPoisoningForcesMispredictions(t *testing.T) {
 }
 
 func TestDetectionSeparatesAttackerFromBenign(t *testing.T) {
-	cfg := QuickDetectionConfig()
-	cfg.Seed = 22
-	r, err := RunDetection(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[DetectionResult](t, "detection", 22)
 	byName := map[string]DetectionRow{}
 	for _, row := range r.Workloads {
 		byName[row.Workload] = row
@@ -492,12 +452,7 @@ func TestDetectionSeparatesAttackerFromBenign(t *testing.T) {
 }
 
 func TestSlidingWindowRecovery(t *testing.T) {
-	cfg := QuickSlidingWindowConfig()
-	cfg.Seed = 23
-	r, err := RunSlidingWindow(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[SlidingWindowExpResult](t, "slidingwindow", 23)
 	if r.Result.KnownFraction() < 0.4 {
 		t.Errorf("only %.1f%% of key bits pinned", 100*r.Result.KnownFraction())
 	}
@@ -510,12 +465,7 @@ func TestSlidingWindowRecovery(t *testing.T) {
 }
 
 func TestSMTChannel(t *testing.T) {
-	cfg := QuickSMTConfig()
-	cfg.Seed = 24
-	r, err := RunSMT(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[SMTResult](t, "smt", 24)
 	if r.ErrorRate > 0.05 {
 		t.Errorf("cross-hyperthread error rate %.2f%%", 100*r.ErrorRate)
 	}
@@ -544,29 +494,8 @@ func TestSMTChannelDegradesWithJitter(t *testing.T) {
 	}
 }
 
-func TestScorecardAllClaimsHold(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scorecard runs the full quick suite")
-	}
-	sc, err := Validate(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sc.AllPassed() {
-		t.Errorf("reproduction scorecard failed:\n%s", sc)
-	}
-	if sc.String() == "" || sc.Passed() == 0 {
-		t.Error("degenerate scorecard")
-	}
-}
-
 func TestPredictorAblation(t *testing.T) {
-	cfg := QuickPredictorAblationConfig()
-	cfg.Seed = 26
-	r, err := RunPredictorAblation(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[PredictorAblationResult](t, "predictors", 26)
 	rates := map[bpu.Mode]float64{}
 	for _, row := range r.Modes {
 		rates[row.Mode] = row.ErrorRate
@@ -586,12 +515,7 @@ func TestPredictorAblation(t *testing.T) {
 }
 
 func TestTimingChannelComparison(t *testing.T) {
-	cfg := QuickTimingChannelConfig()
-	cfg.Seed = 27
-	r, err := RunTimingChannel(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[TimingChannelResult](t, "timingchannel", 27)
 	if r.PMCError > 0.03 {
 		t.Errorf("PMC channel error %.2f%%", 100*r.PMCError)
 	}
@@ -609,12 +533,7 @@ func TestTimingChannelComparison(t *testing.T) {
 }
 
 func TestFSMWidthAblation(t *testing.T) {
-	cfg := QuickFSMWidthConfig()
-	cfg.Seed = 28
-	r, err := RunFSMWidth(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick[FSMWidthResult](t, "fsmwidth", 28)
 	if len(r.Points) != 4 {
 		t.Fatalf("rows = %d", len(r.Points))
 	}

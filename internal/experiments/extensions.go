@@ -43,11 +43,6 @@ func (c IfConversionConfig) withDefaults() IfConversionConfig {
 	return c
 }
 
-// QuickIfConversionConfig returns a test-scale configuration.
-func QuickIfConversionConfig() IfConversionConfig {
-	return IfConversionConfig{ExponentBits: 96}
-}
-
 // IfConversionResult compares recovery error against both ladders.
 type IfConversionResult struct {
 	Config IfConversionConfig
@@ -157,9 +152,6 @@ func (c PoisoningConfig) withDefaults() PoisoningConfig {
 	return c
 }
 
-// QuickPoisoningConfig returns a test-scale configuration.
-func QuickPoisoningConfig() PoisoningConfig { return PoisoningConfig{Rounds: 120} }
-
 // PoisoningResult reports victim misprediction rates.
 type PoisoningResult struct {
 	Config PoisoningConfig
@@ -261,9 +253,6 @@ func (c DetectionConfig) withDefaults() DetectionConfig {
 	}
 	return c
 }
-
-// QuickDetectionConfig returns a test-scale configuration.
-func QuickDetectionConfig() DetectionConfig { return DetectionConfig{Bits: 120} }
 
 // DetectionRow is one monitored workload.
 type DetectionRow struct {
@@ -408,11 +397,6 @@ func (c SlidingWindowConfig) withDefaults() SlidingWindowConfig {
 	return c
 }
 
-// QuickSlidingWindowConfig returns a test-scale configuration.
-func QuickSlidingWindowConfig() SlidingWindowConfig {
-	return SlidingWindowConfig{ExponentBits: 128}
-}
-
 // SlidingWindowExpResult reports the experiment.
 type SlidingWindowExpResult struct {
 	Config SlidingWindowConfig
@@ -481,11 +465,6 @@ func (c PredictorAblationConfig) withDefaults() PredictorAblationConfig {
 		c.Runs = 3
 	}
 	return c
-}
-
-// QuickPredictorAblationConfig returns a test-scale configuration.
-func QuickPredictorAblationConfig() PredictorAblationConfig {
-	return PredictorAblationConfig{Bits: 800, Runs: 1}
 }
 
 // PredictorAblationRow is one BPU organization's result.
@@ -575,11 +554,6 @@ func (c TimingChannelConfig) withDefaults() TimingChannelConfig {
 		c.Runs = 3
 	}
 	return c
-}
-
-// QuickTimingChannelConfig returns a test-scale configuration.
-func QuickTimingChannelConfig() TimingChannelConfig {
-	return TimingChannelConfig{Bits: 800, Runs: 1}
 }
 
 // TimingChannelResult compares the probe mechanisms.

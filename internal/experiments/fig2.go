@@ -48,9 +48,6 @@ func (c Fig2Config) withDefaults() Fig2Config {
 	return c
 }
 
-// QuickFig2Config returns a test-scale configuration.
-func QuickFig2Config() Fig2Config { return Fig2Config{Trials: 60} }
-
 // Fig2Series is one curve of Figure 2.
 type Fig2Series struct {
 	Model string

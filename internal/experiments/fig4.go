@@ -76,11 +76,6 @@ func Fig4Model() uarch.Model {
 	return m
 }
 
-// QuickFig4Config returns a test-scale configuration.
-func QuickFig4Config() Fig4Config {
-	return Fig4Config{Blocks: 50, Reps: 60, BlockBranches: 6000}
-}
-
 // Fig4Point is one block's stability measurement (one dot of Figure 4a).
 type Fig4Point struct {
 	FreqTT float64

@@ -70,12 +70,6 @@ func (c Fig5Config) withDefaults() Fig5Config {
 	return c
 }
 
-// QuickFig5Config returns a test-scale configuration (Sandy Bridge's
-// 4096-entry PHT keeps the map small).
-func QuickFig5Config() Fig5Config {
-	return Fig5Config{Model: uarch.SandyBridge(), BlockBranches: 3000, Pairs: 60}
-}
-
 // Fig5Result reports the mapping and discovery outcome.
 type Fig5Result struct {
 	Config Fig5Config

@@ -45,9 +45,6 @@ func (c Fig7Config) withDefaults() Fig7Config {
 	return c
 }
 
-// QuickFig7Config returns a test-scale configuration.
-func QuickFig7Config() Fig7Config { return Fig7Config{Samples: 4000} }
-
 // Fig7Case is one latency population.
 type Fig7Case struct {
 	Taken   bool

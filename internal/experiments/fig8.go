@@ -39,11 +39,6 @@ func (c Fig8Config) withDefaults() Fig8Config {
 	return c
 }
 
-// QuickFig8Config returns a test-scale configuration.
-func QuickFig8Config() Fig8Config {
-	return Fig8Config{MaxMeasurements: 11, Trials: 400}
-}
-
 // Fig8Point is one x-position of the figure.
 type Fig8Point struct {
 	Measurements int

@@ -37,9 +37,6 @@ func (c Fig9Config) withDefaults() Fig9Config {
 	return c
 }
 
-// QuickFig9Config returns a test-scale configuration.
-func QuickFig9Config() Fig9Config { return Fig9Config{Samples: 2500} }
-
 // Fig9Cell is one bar pair of the figure.
 type Fig9Cell struct {
 	State      core.StateClass

@@ -46,11 +46,6 @@ func (c FSMWidthConfig) withDefaults() FSMWidthConfig {
 	return c
 }
 
-// QuickFSMWidthConfig returns a test-scale configuration.
-func QuickFSMWidthConfig() FSMWidthConfig {
-	return FSMWidthConfig{Bits: 700}
-}
-
 // FSMWidthRow is one counter width's outcome.
 type FSMWidthRow struct {
 	// Width is the per-side state count (a width-w counter has 2w

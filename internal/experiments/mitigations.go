@@ -40,11 +40,6 @@ func (c MitigationsConfig) withDefaults() MitigationsConfig {
 	return c
 }
 
-// QuickMitigationsConfig returns a test-scale configuration.
-func QuickMitigationsConfig() MitigationsConfig {
-	return MitigationsConfig{Bits: 800, Runs: 1}
-}
-
 // MitigationRow is one ablation row.
 type MitigationRow struct {
 	Mitigation bpu.Mitigation

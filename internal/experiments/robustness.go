@@ -34,17 +34,6 @@ type RobustnessConfig struct {
 	Seed uint64
 }
 
-// QuickRobustnessConfig returns a test-scale configuration.
-func QuickRobustnessConfig() RobustnessConfig {
-	return RobustnessConfig{
-		Bits:        220,
-		Intensities: []float64{0, chaos.ModerateIntensity, chaos.HeavyIntensity},
-		Budgets:     []int{0, 5},
-		TimingBits:  140,
-		Seed:        1,
-	}
-}
-
 func (c RobustnessConfig) withDefaults() RobustnessConfig {
 	if c.Model.Name == "" {
 		c.Model = uarch.SandyBridge()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -14,11 +13,7 @@ import (
 // degrades, and exhausted budgets surface as Unknown instead of
 // silently wrong bits.
 func TestRobustnessAcceptance(t *testing.T) {
-	cfg := QuickRobustnessConfig()
-	res, err := RunRobustness(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick[RobustnessResult](t, "robustness", 1)
 	cell := func(probe string, intensity float64, budget int) RobustnessCell {
 		t.Helper()
 		for _, c := range res.Cells {

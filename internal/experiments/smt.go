@@ -59,9 +59,6 @@ func (c SMTConfig) withDefaults() SMTConfig {
 	return c
 }
 
-// QuickSMTConfig returns a test-scale configuration.
-func QuickSMTConfig() SMTConfig { return SMTConfig{Bits: 600} }
-
 // SMTResult reports the cross-hyperthread channel quality.
 type SMTResult struct {
 	Config    SMTConfig

@@ -116,20 +116,6 @@ func PaperTable1(skylake bool) []core.Pattern {
 	return rows
 }
 
-// MatchesPaper reports whether every observed row equals the paper's.
-func (r Table1Result) MatchesPaper() bool {
-	want := PaperTable1(r.Model == "Skylake")
-	if len(r.Entries) != len(want) {
-		return false
-	}
-	for i, row := range r.Entries {
-		if row.Observation != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the table in the paper's layout.
 func (r Table1Result) String() string {
 	var b strings.Builder

@@ -38,11 +38,6 @@ func (c Table2Config) withDefaults() Table2Config {
 	return c
 }
 
-// QuickTable2Config returns a test-scale configuration.
-func QuickTable2Config() Table2Config {
-	return Table2Config{Bits: 1500, Runs: 2}
-}
-
 // Table2Result holds the full grid, indexed [model][setting][pattern].
 type Table2Result struct {
 	Config Table2Config

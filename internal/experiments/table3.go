@@ -29,11 +29,6 @@ func (c Table3Config) withDefaults() Table3Config {
 	return c
 }
 
-// QuickTable3Config returns a test-scale configuration.
-func QuickTable3Config() Table3Config {
-	return Table3Config{Bits: 1500, Runs: 2}
-}
-
 // Table3Result holds the two SGX rows.
 type Table3Result struct {
 	Config Table3Config
