@@ -200,7 +200,10 @@ func (rs *rows) where(match ...any) []row {
 	for i := 0; i+1 < len(match); i += 2 {
 		pairs = append(pairs, fmt.Sprintf("%s=%v", match[i], match[i+1]))
 	}
-	addr := fmt.Sprintf("%s row {%s}", rs.id, strings.Join(pairs, ", "))
+	addr := rs.id + " row"
+	if len(pairs) > 0 {
+		addr += " {" + strings.Join(pairs, ", ") + "}"
+	}
 	var out []row
 	for _, cols := range rs.all {
 		if matches(cols, match) {
