@@ -243,10 +243,7 @@ func TestFig9StatesDistinguishable(t *testing.T) {
 }
 
 func TestTable3SGXBeatsUserSpace(t *testing.T) {
-	t3, err := RunTable3(context.Background(), Table3Config{Bits: 1500, Runs: 2, Seed: 33})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t3 := runQuick[Table3Result](t, "table3", 33)
 	if len(t3.Cells) != 2 {
 		t.Fatalf("rows = %d", len(t3.Cells))
 	}

@@ -40,7 +40,8 @@ type Experiment struct {
 
 // scaled adapts a runner to the engine contract. The zero config is
 // paper scale (each runner fills in its own defaults), quick is the
-// test-scale config, and the task seed replaces the config's Seed.
+// test-scale config, and the task seed replaces the config's Seed, a
+// uint64 field every config declares.
 func scaled[C any, R engine.Result](run func(context.Context, C) (R, error), quick C) func(context.Context, engine.Config) (engine.Result, error) {
 	return func(ctx context.Context, ec engine.Config) (engine.Result, error) {
 		var cfg C
