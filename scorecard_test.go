@@ -120,7 +120,7 @@ func TestScorecardClaimsFailPastTheirBounds(t *testing.T) {
 	}{
 		{"first iteration", []rowEdit{{"fig2", "kind=point,model=Skylake,iteration=1", "mean_misses", 3.4}}},
 		{"takes over", []rowEdit{{"fig2", "kind=summary,model=SandyBridge", "learning_horizon", 9.0}}},
-		{"all eight", []rowEdit{{"table1", "model=Haswell,prime=NNN,target=T,probe=TT", "matches_paper", false}}},
+		{"all eight", []rowEdit{{"table1", "model=Haswell,prime=NNN,target=T,probe=TT", "observation", "HH"}}},
 		{"stable decodable", []rowEdit{{"fig4", "kind=summary", "stable_share", 0.54}}},
 		{"strong states dominate", []rowEdit{
 			{"fig4", "kind=summary", "blocks", 120.0},
