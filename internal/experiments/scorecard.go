@@ -22,12 +22,12 @@ const exportSchema = "branchscope.experiments/v1"
 // Export is the part of a branchscope.experiments/v1 export (see
 // engine.WriteJSON) that the scorecard reads.
 type Export struct {
-	Schema      string          `json:"schema"`
-	Experiments []ExportedEntry `json:"experiments"`
+	Schema      string               `json:"schema"`
+	Experiments []ExportedExperiment `json:"experiments"`
 }
 
-// ExportedEntry is one experiment's slot in an export.
-type ExportedEntry struct {
+// ExportedExperiment is one experiment's slot in an export.
+type ExportedExperiment struct {
 	ID string `json:"id"`
 	// Error is empty when the experiment succeeded.
 	Error string `json:"error"`
@@ -92,7 +92,7 @@ type Scorecard struct {
 // registry. A claim whose experiment is not in the export is not
 // scored; a claim whose experiment failed fails.
 func Score(x Export) Scorecard {
-	ran := map[string]ExportedEntry{}
+	ran := map[string]ExportedExperiment{}
 	for _, e := range x.Experiments {
 		ran[e.ID] = e
 	}
