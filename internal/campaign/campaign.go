@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"branchscope/internal/durable"
 	"branchscope/internal/engine"
@@ -16,7 +17,7 @@ import (
 // assert the crash actually fired.
 const CrashExitCode = 3
 
-// Campaign couples a journal with the engine runner: it journals every
+// Campaign couples a journal with an executor: Run journals every fresh
 // task outcome as it completes, replays completed tasks on resume, and
 // optionally kills the process at an injected crash point.
 type Campaign struct {
@@ -25,20 +26,54 @@ type Campaign struct {
 	// Replayed holds the completed task records recovered by Resume
 	// (empty for a fresh campaign).
 	Replayed []TaskRecord
-	// CrashAfter, when > 0, crashes the process right after that many
-	// task outcomes have been journaled by this process (see
-	// chaos.Plan.CrashPoint). Replayed records don't count: the crash
-	// point measures fresh progress, so a resumed run under the same
-	// plan crashes again only after making that much new progress.
-	CrashAfter int
-	// CrashFn is the crash action; nil means os.Exit(CrashExitCode).
-	// Tests substitute a non-exiting hook.
-	CrashFn func()
+	// CrashPoint ticks once per fresh outcome this process journals
+	// (see chaos.Plan.CrashPoint). Replayed records don't tick: the
+	// crash point measures fresh progress, so a resumed run under the
+	// same plan crashes again only after making that much new progress.
+	CrashPoint CrashPoint
+}
 
-	crashOnce sync.Once
+// CrashPoint is the chaos crash fault class: it kills the process with
+// CrashExitCode right after its After-th tick, once. A campaign ticks it
+// per journaled fresh outcome, a fabric worker per streamed outcome (its
+// count carries over from one assignment to the next). The zero value
+// never fires.
+type CrashPoint struct {
+	// After, when > 0, is the tick that fires the crash.
+	After int
+	// Fn is the crash action; nil means os.Exit(CrashExitCode). Tests
+	// substitute a non-exiting hook.
+	Fn func()
 
-	mu  sync.Mutex
-	err error
+	ticks atomic.Int64
+}
+
+// Tick counts one outcome and fires the crash on the After-th.
+func (p *CrashPoint) Tick() {
+	if p.After <= 0 || p.ticks.Add(1) != int64(p.After) {
+		return
+	}
+	if p.Fn != nil {
+		p.Fn()
+		return
+	}
+	os.Exit(CrashExitCode)
+}
+
+// Executor runs tasks and returns one report per task in task order,
+// handing each report to onDone as its task settles (settle order,
+// concurrently under parallel execution). Local is the in-process
+// executor; fabric.Coordinator.Run is the distributed one.
+type Executor func(ctx context.Context, tasks []engine.Task, onDone func(engine.Report)) []engine.Report
+
+// Local is the in-process executor: r's RunSuite under cfg, with onDone
+// in place of r's own OnDone.
+func Local(r *engine.Runner, cfg engine.Config) Executor {
+	return func(ctx context.Context, tasks []engine.Task, onDone func(engine.Report)) []engine.Report {
+		run := *r
+		run.OnDone = onDone
+		return run.RunSuite(ctx, tasks, cfg)
+	}
 }
 
 // New creates a fresh campaign journaling to path.
@@ -115,109 +150,78 @@ func headerMatches(got, want Header) error {
 	return nil
 }
 
-// Run executes the suite durably: completed tasks from a resumed
-// journal are replayed as reports (delivered to the runner's OnDone so
-// trackers and ledgers see them), the rest run fresh through the
-// runner, and every fresh outcome is journaled — fsynced — before it
-// is observed. Reports come back in task order, exactly as
-// Runner.RunSuite would return them. The runner's OnDone hook is
-// temporarily wrapped and restored before Run returns.
+// Run executes tasks durably through exec. Completed tasks from a
+// resumed journal are replayed first, in task order: each becomes a
+// report stamped with runID and goes to observe. The rest run fresh
+// through exec, and each fresh outcome is journaled — fsynced — before
+// observe sees it, then ticks the crash point. Reports come back in
+// task order, exactly as exec alone would return them; the error
+// reports a journal failure. A nil campaign is just exec with observe
+// as its onDone.
 //
 // Determinism: task seeds derive from (base seed, task ID) alone, so
 // the re-run subset executes with the same seeds the uninterrupted run
 // used, and replayed results re-emit their checkpointed bytes verbatim
 // — the merged report renders byte-identically to an uninterrupted
-// run's at any parallelism.
-func (c *Campaign) Run(ctx context.Context, r *engine.Runner, tasks []engine.Task, cfg engine.Config) ([]engine.Report, error) {
+// run's at any parallelism, on any executor.
+func (c *Campaign) Run(ctx context.Context, tasks []engine.Task, runID string, observe func(engine.Report), exec Executor) ([]engine.Report, error) {
+	if observe == nil {
+		observe = func(engine.Report) {}
+	}
+	if c == nil {
+		return exec(ctx, tasks, observe), nil
+	}
 	done := make(map[string]TaskRecord, len(c.Replayed))
 	for _, rec := range c.Replayed {
 		if rec.Completed() {
 			done[rec.ID] = rec
 		}
 	}
+	reports := make([]engine.Report, len(tasks))
 	var pending []engine.Task
-	for _, t := range tasks {
-		if _, ok := done[t.ID]; !ok {
+	for i, t := range tasks {
+		if rec, ok := done[t.ID]; ok {
+			reports[i] = ReportOf(t, rec, runID)
+			observe(reports[i])
+		} else {
 			pending = append(pending, t)
 		}
 	}
 
-	orig := r.OnDone
-	r.OnDone = func(rep engine.Report) {
-		n, err := c.Journal.Append(RecordOf(rep))
+	var mu sync.Mutex
+	var journalErr error
+	fresh := exec(ctx, pending, func(rep engine.Report) {
+		err := c.Journal.Append(RecordOf(rep))
 		if err != nil {
-			c.mu.Lock()
-			if c.err == nil {
-				c.err = err
+			mu.Lock()
+			if journalErr == nil {
+				journalErr = err
 			}
-			c.mu.Unlock()
+			mu.Unlock()
 		}
-		if orig != nil {
-			orig(rep)
+		observe(rep)
+		if err == nil {
+			c.CrashPoint.Tick()
 		}
-		if c.CrashAfter > 0 && n >= c.CrashAfter {
-			c.crash()
-		}
-	}
-	defer func() { r.OnDone = orig }()
-
-	// Replay first: observers see the recovered history before fresh
-	// progress, and in task order.
-	replayed := make(map[string]engine.Report, len(done))
-	for _, t := range tasks {
-		rec, ok := done[t.ID]
-		if !ok {
-			continue
-		}
-		rep := ReplayReport(t, rec)
-		// Replayed reports carry the live runner's identity like fresh
-		// ones: the run identity is invocation-scoped, not attempt-scoped.
-		rep.RunID = r.RunID
-		replayed[t.ID] = rep
-		if orig != nil {
-			orig(rep)
-		}
-	}
-
-	fresh := r.RunSuite(ctx, pending, cfg)
-
-	reports := make([]engine.Report, 0, len(tasks))
-	fi := 0
-	for _, t := range tasks {
-		if rep, ok := replayed[t.ID]; ok {
-			reports = append(reports, rep)
-			continue
-		}
-		reports = append(reports, fresh[fi])
-		fi++
-	}
-	c.mu.Lock()
-	err := c.err
-	c.mu.Unlock()
-	return reports, err
-}
-
-// crash fires the crash point exactly once.
-func (c *Campaign) crash() {
-	c.crashOnce.Do(func() {
-		if c.CrashFn != nil {
-			c.CrashFn()
-			return
-		}
-		os.Exit(CrashExitCode)
 	})
-}
 
-// Crash fires the campaign's crash point (once, like the internal
-// path). The fabric coordinator journals outcomes itself rather than
-// through Run's OnDone wrapper, so it needs the same crash action when
-// its append count reaches CrashAfter.
-func (c *Campaign) Crash() { c.crash() }
+	for i, t := range tasks {
+		if _, ok := done[t.ID]; !ok {
+			reports[i], fresh = fresh[0], fresh[1:]
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return reports, journalErr
+}
 
 // RecordOf converts a finished report into its journal record — the
-// exact bytes Run would journal, and the fabric wire payload a worker
-// streams back to its coordinator.
+// exact bytes Run journals, and the fabric wire payload a worker
+// streams back to its coordinator. A record keeps how its task ran, so
+// a report rebuilt from one (ReportOf) converts back to that same
+// record, never to a "replayed" one.
 func RecordOf(rep engine.Report) TaskRecord {
+	rep.Replayed = false
 	rec := TaskRecord{
 		ID:       rep.Task.ID,
 		Seed:     rep.Seed,
@@ -245,19 +249,43 @@ func RecordOf(rep engine.Report) TaskRecord {
 	return rec
 }
 
-// ReplayReport reconstructs a completed task's report from its record:
-// the report renders the record's checkpointed bytes verbatim, which is
-// what makes both the resume path and the fabric merge byte-identical
-// to an uninterrupted local run.
-func ReplayReport(t engine.Task, rec TaskRecord) engine.Report {
-	return engine.Report{
-		Task:     t,
-		Seed:     rec.Seed,
-		Attempts: rec.Attempts,
-		Replayed: true,
-		Result:   replayResult{text: rec.ResultText, rows: rec.Rows},
+// ReportOf is RecordOf's inverse: it rebuilds task t's report from its
+// record, stamped with runID. A completed record comes back as a
+// "replayed" report that renders the record's checkpointed bytes
+// verbatim, which is what makes both the resume path and the fabric
+// merge byte-identical to an uninterrupted local run. A failed record
+// comes back as the failure it records, classified as it was.
+func ReportOf(t engine.Task, rec TaskRecord, runID string) engine.Report {
+	rep := engine.Report{Task: t, Seed: rec.Seed, Attempts: rec.Attempts, RunID: runID}
+	if rec.Completed() {
+		rep.Replayed = true
+		rep.Result = replayResult{text: rec.ResultText, rows: rec.Rows}
+		return rep
 	}
+	rep.Err = recordedError{msg: rec.Error, cause: failureCauses[rec.Outcome]}
+	rep.Panicked = rec.Outcome == "panic"
+	rep.Exhausted = rec.Outcome == "exhausted"
+	rep.SkippedBreaker = rec.Outcome == "skipped-open-breaker"
+	return rep
 }
+
+// failureCauses maps the failed outcomes that engine.Report.Outcome
+// reads off the error chain to the error each one rests on.
+var failureCauses = map[string]error{
+	"timeout":              context.DeadlineExceeded,
+	"canceled":             context.Canceled,
+	"skipped-open-breaker": engine.ErrBreakerOpen,
+}
+
+// recordedError is a journaled failure: it reads as the record's error
+// text and unwraps to the cause its outcome names.
+type recordedError struct {
+	msg   string
+	cause error
+}
+
+func (e recordedError) Error() string { return e.msg }
+func (e recordedError) Unwrap() error { return e.cause }
 
 // replayResult renders a journaled result byte-for-byte: String
 // returns the checkpointed text, Rows wraps the checkpointed row JSON

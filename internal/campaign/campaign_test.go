@@ -3,9 +3,11 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -93,7 +95,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseReports, err := baseCamp.Run(context.Background(), &engine.Runner{}, tasks, cfg)
+	baseReports, err := baseCamp.Run(context.Background(), tasks, "", nil, Local(&engine.Runner{}, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +114,9 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	crashCamp.CrashAfter = 3
-	crashCamp.CrashFn = cancel
-	if _, err := crashCamp.Run(ctx, &engine.Runner{}, tasks, cfg); err != nil {
+	crashCamp.CrashPoint.After = 3
+	crashCamp.CrashPoint.Fn = cancel
+	if _, err := crashCamp.Run(ctx, tasks, "", nil, Local(&engine.Runner{}, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	crashCamp.Journal.Close()
@@ -163,7 +165,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 			}
 		},
 	}
-	resReports, err := resumed.Run(context.Background(), runner, tasks, cfg)
+	resReports, err := resumed.Run(context.Background(), tasks, "", runner.OnDone, Local(runner, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestResumeCompletedRunReplaysEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseReports, err := camp.Run(context.Background(), &engine.Runner{}, tasks, cfg)
+	baseReports, err := camp.Run(context.Background(), tasks, "", nil, Local(&engine.Runner{}, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +229,7 @@ func TestResumeCompletedRunReplaysEverything(t *testing.T) {
 			return inner(ctx, cfg)
 		}
 	}
-	resReports, err := resumed.Run(context.Background(), &engine.Runner{}, wrapped, cfg)
+	resReports, err := resumed.Run(context.Background(), wrapped, "", nil, Local(&engine.Runner{}, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,10 +318,10 @@ func TestLoadRejectsTornMiddleRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append(TaskRecord{ID: "a", Outcome: "ok", ResultText: "result a\n"}); err != nil {
+	if err := j.Append(TaskRecord{ID: "a", Outcome: "ok", ResultText: "result a\n"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append(TaskRecord{ID: "b", Outcome: "ok", ResultText: "result b\n"}); err != nil {
+	if err := j.Append(TaskRecord{ID: "b", Outcome: "ok", ResultText: "result b\n"}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -355,7 +357,7 @@ func FuzzLoadTornMiddleRecord(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, id := range []string{"a", "b", "c"} {
-			if _, err := j.Append(TaskRecord{ID: id, Outcome: "ok", ResultText: "result " + id + "\n"}); err != nil {
+			if err := j.Append(TaskRecord{ID: id, Outcome: "ok", ResultText: "result " + id + "\n"}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -416,10 +418,10 @@ func TestLoadRejectsMidFileCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append(TaskRecord{ID: "a", Outcome: "ok"}); err != nil {
+	if err := j.Append(TaskRecord{ID: "a", Outcome: "ok"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append(TaskRecord{ID: "b", Outcome: "ok"}); err != nil {
+	if err := j.Append(TaskRecord{ID: "b", Outcome: "ok"}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -456,10 +458,10 @@ func TestCrashAfterCountsFreshOutcomesOnly(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	camp.CrashAfter = 2
+	camp.CrashPoint.After = 2
 	crashes := 0
-	camp.CrashFn = func() { crashes++; cancel() }
-	if _, err := camp.Run(ctx, &engine.Runner{}, tasks, cfg); err != nil {
+	camp.CrashPoint.Fn = func() { crashes++; cancel() }
+	if _, err := camp.Run(ctx, tasks, "", nil, Local(&engine.Runner{}, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	camp.Journal.Close()
@@ -476,9 +478,9 @@ func TestCrashAfterCountsFreshOutcomesOnly(t *testing.T) {
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	resumed.CrashAfter = 2
-	resumed.CrashFn = func() { crashes++; cancel2() }
-	if _, err := resumed.Run(ctx2, &engine.Runner{}, tasks, cfg); err != nil {
+	resumed.CrashPoint.After = 2
+	resumed.CrashPoint.Fn = func() { crashes++; cancel2() }
+	if _, err := resumed.Run(ctx2, tasks, "", nil, Local(&engine.Runner{}, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	resumed.Journal.Close()
@@ -507,7 +509,54 @@ func TestJournalFailureSurfacesFromRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	camp.Journal.Close() // sabotage: every append now fails
-	if _, err := camp.Run(context.Background(), &engine.Runner{}, tasks, engine.Config{Quick: true, Seed: 42}); err == nil {
+	if _, err := camp.Run(context.Background(), tasks, "", nil, Local(&engine.Runner{}, engine.Config{Quick: true, Seed: 42})); err == nil {
 		t.Fatal("Run succeeded with a dead journal")
+	}
+}
+
+// TestRecordReportRoundTrip: ReportOf inverts RecordOf for every outcome
+// a fresh run can journal. The rebuilt report converts back to the
+// exact record (a fabric coordinator's merged report journals what its
+// worker streamed, never "replayed"), renders the same text and JSON,
+// and a failure keeps its classification.
+func TestRecordReportRoundTrip(t *testing.T) {
+	task := testTasks()[0]
+	fail := func(err error) engine.Report {
+		return engine.Report{Task: task, Seed: 9, Attempts: 1, Err: err}
+	}
+	cases := map[string]engine.Report{
+		"ok":         {Task: task, Seed: 7, Attempts: 1, Result: escRes{seed: 7}},
+		"retried-ok": {Task: task, Seed: 8, Attempts: 3, Result: escRes{seed: 8}},
+		"nil rows":   {Task: task, Seed: 7, Attempts: 1, Result: nilRowsRes{}},
+		"error":      fail(errors.New("engine: task t0: systematic <failure>")),
+		"timeout":    fail(fmt.Errorf("engine: task t0: %w", context.DeadlineExceeded)),
+		"canceled":   fail(fmt.Errorf("engine: task t0: %w", context.Canceled)),
+		"panic":      {Task: task, Seed: 9, Attempts: 1, Panicked: true, Err: errors.New("engine: task t0 panicked: boom")},
+		"exhausted":  {Task: task, Seed: 9, Attempts: 3, Exhausted: true, Err: fmt.Errorf("engine: task t0: %w", context.DeadlineExceeded)},
+		"skipped":    engine.SkippedBreakerReport(task, 9, ""),
+	}
+	for name, rep := range cases {
+		rec := RecordOf(rep)
+		back := ReportOf(task, rec, "bsr-roundtrip")
+		if back.RunID != "bsr-roundtrip" {
+			t.Errorf("%s: rebuilt report run ID = %q", name, back.RunID)
+		}
+		if got := RecordOf(back); !reflect.DeepEqual(got, rec) {
+			t.Errorf("%s: record does not round-trip:\n got %+v\nwant %+v", name, got, rec)
+		}
+		wantTxt, wantJSON := render(t, []engine.Report{rep})
+		gotTxt, gotJSON := render(t, []engine.Report{back})
+		if gotTxt != wantTxt || gotJSON != wantJSON {
+			t.Errorf("%s: rebuilt report renders differently:\n%s%s\nwant:\n%s%s", name, gotTxt, gotJSON, wantTxt, wantJSON)
+		}
+		switch {
+		case rep.Err == nil && back.Outcome() != "replayed":
+			t.Errorf("%s: rebuilt success outcome = %q, want replayed", name, back.Outcome())
+		case rep.Err != nil && back.Outcome() != rep.Outcome():
+			t.Errorf("%s: rebuilt failure outcome = %q, want %q", name, back.Outcome(), rep.Outcome())
+		}
+	}
+	if !errors.Is(ReportOf(task, RecordOf(cases["skipped"]), "").Err, engine.ErrBreakerOpen) {
+		t.Error("rebuilt breaker skip does not carry ErrBreakerOpen")
 	}
 }

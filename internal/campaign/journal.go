@@ -6,6 +6,14 @@
 // resumed converges to the byte-identical report of a run that was
 // never interrupted.
 //
+// One durable path. Campaign.Run drives any Executor: the in-process
+// engine runner (Local) or a fabric coordinator, which only
+// dispatches. Run is the one place that replays completed records,
+// journals each fresh outcome before any observer sees it, fires the
+// chaos crash point (CrashPoint, which a fabric worker ticks too) and
+// merges the reports in task order. RecordOf and its inverse ReportOf
+// are the one mapping between a report and its journal record.
+//
 // Durability model. The journal is JSONL: a header line followed by
 // one line per finished task, each framed as
 //
@@ -136,9 +144,11 @@ func Load(path string) (h Header, recs []TaskRecord, torn bool, err error) {
 }
 
 // Append journals one task outcome, fsyncing before it returns so a
-// crash immediately after cannot lose the record. It returns the total
-// number of records appended by this process — the crash point's clock.
-func (j *Journal) Append(rec TaskRecord) (int, error) { return j.app.Append("task", rec) }
+// crash immediately after cannot lose the record.
+func (j *Journal) Append(rec TaskRecord) error {
+	_, err := j.app.Append("task", rec)
+	return err
+}
 
 // Close closes the journal file.
 func (j *Journal) Close() error {

@@ -309,7 +309,7 @@ func TestCampaignFlagValidation(t *testing.T) {
 	if err != nil || c == nil {
 		t.Fatalf("fresh campaign: %v", err)
 	}
-	if _, err := c.Journal.Append(campaign.TaskRecord{ID: "a", Outcome: "ok"}); err != nil {
+	if err := c.Journal.Append(campaign.TaskRecord{ID: "a", Outcome: "ok"}); err != nil {
 		t.Fatal(err)
 	}
 	c.Journal.Close()

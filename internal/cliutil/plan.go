@@ -166,15 +166,18 @@ func (p Plan) Settle(arc *runstore.Archiver, reports []engine.Report, breakers *
 	return nil
 }
 
-// Execute runs the plan the way the session's flags ask: in process,
-// durably under -checkpoint/-resume, sharded across -coordinator
-// workers, or — under -worker — serving assignments until ctx ends.
-// Before any task starts it derives the run identity and stamps the
-// run ID on the session's ledger, leakage slot and /statusz (a worker
-// only checks assignments against the identity basis; its coordinator
-// owns the run); it installs the run's chaos plan, retry budget and
-// telemetry as experiments.Overrides on every task's context; and
-// after the run it settles the archive the session writes at Close.
+// Execute runs the plan the way the session's flags ask, or — under
+// -worker — serves assignments until ctx ends. Every run goes through
+// one campaign.Run call: its executor is the in-process runner, or a
+// fabric coordinator sharding the tasks across -coordinator workers,
+// and its campaign is nil unless -checkpoint/-resume makes the run
+// durable. Before any task starts it derives the run identity and
+// stamps the run ID on the session's ledger, leakage slot and /statusz
+// (a worker only checks assignments against the identity basis; its
+// coordinator owns the run); it installs the run's chaos plan, retry
+// budget and telemetry as experiments.Overrides on every task's
+// context; and after the run it settles the archive the session writes
+// at Close.
 //
 // The reports come back in task order. Nil reports with an error mean
 // the invocation itself is invalid (a bad chaos plan, a journal from
@@ -236,7 +239,7 @@ func (s *Session) Execute(ctx context.Context, p Plan) ([]engine.Report, error) 
 			RunCfg: ecfg,
 			// The chaos crash fault class, worker-targeted: exit(3) right
 			// after the Nth streamed outcome instead of the Nth journaled.
-			CrashAfter: crashAfter,
+			CrashPoint: campaign.CrashPoint{After: crashAfter},
 			Logf:       s.logf,
 		})
 		s.Log.Info("fabric worker serving", "tasks", len(tasks), "crash_after", crashAfter)
@@ -254,9 +257,9 @@ func (s *Session) Execute(ctx context.Context, p Plan) ([]engine.Report, error) 
 	}
 	if camp != nil {
 		defer camp.Journal.Close()
-		camp.CrashAfter = crashAfter
+		camp.CrashPoint.After = crashAfter
 		s.Log.Info("campaign journal open", "path", camp.Journal.Path(),
-			"replayed", len(camp.Replayed), "crash_after", camp.CrashAfter)
+			"replayed", len(camp.Replayed), "crash_after", crashAfter)
 	}
 	s.SetRunID(runID)
 	runner.RunID = runID
@@ -267,28 +270,20 @@ func (s *Session) Execute(ctx context.Context, p Plan) ([]engine.Report, error) 
 	}
 	s.run.Store(&runState{tracker: tracker, breakers: runner.Breakers})
 
-	var reports []engine.Report
-	var journalErr error
-	switch {
-	case len(urls) > 0:
-		// Degrades to local execution with runner when no worker is
-		// reachable.
-		coord := &fabric.Coordinator{
+	exec := campaign.Local(runner, ecfg)
+	if len(urls) > 0 {
+		// The coordinator falls back to the local executor for whatever
+		// its workers leave unsettled.
+		exec = (&fabric.Coordinator{
 			Workers: urls, Program: p.Program, BaseSeed: p.Seed, Quick: p.Quick,
-			Config: identity.Config, RunID: runID,
-			Breakers: runner.Breakers, Campaign: camp,
-			Local: runner, LocalCfg: ecfg, OnDone: runner.OnDone,
+			Config: identity.Config, RunID: runID, Breakers: runner.Breakers, Local: exec,
 			OnDegrade: func(reason string) {
 				s.Log.Warn("fabric degraded to local execution", "reason", reason)
 			},
 			Logf: s.logf,
-		}
-		reports, journalErr = coord.Run(ctx, tasks)
-	case camp != nil:
-		reports, journalErr = camp.Run(ctx, runner, tasks, ecfg)
-	default:
-		reports = runner.RunSuite(ctx, tasks, ecfg)
+		}).Run
 	}
+	reports, journalErr := camp.Run(ctx, tasks, runID, runner.OnDone, exec)
 	for i := range reports {
 		reports[i] = p.settled(reports[i])
 		if camp != nil || len(urls) > 0 {

@@ -64,10 +64,12 @@ func requeueReason(dispatchErr error) string {
 	}
 }
 
-// Coordinator shards a campaign's task list across worker processes
-// and merges their streamed outcomes into reports byte-identical to a
-// single-process run. See the package comment for the protocol and
-// DESIGN §3.20 for the full semantics.
+// Coordinator shards a task list across worker processes and merges
+// their streamed outcomes into reports byte-identical to a
+// single-process run. It only dispatches: its Run is a
+// campaign.Executor, and campaign.Run journals, replays and crashes
+// around it exactly as around a local run. See the package comment for
+// the protocol and DESIGN §3.20 for the full semantics.
 type Coordinator struct {
 	// Workers are the worker base URLs ("http://127.0.0.1:9001"). The
 	// fabric endpoints hang off each worker's obs address.
@@ -108,33 +110,22 @@ type Coordinator struct {
 	// propagates to all workers.
 	Breakers *engine.BreakerSet
 
-	// Campaign, when non-nil, journals every settled outcome (and
-	// replays the journal's completed records on resume) exactly as a
-	// local campaign.Run would, including the chaos crash point when
-	// the append count reaches Campaign.CrashAfter.
-	Campaign *campaign.Campaign
+	// Local runs in-process whatever the workers leave unsettled: every
+	// task when no worker is reachable at start, the remainder when
+	// every worker has been dropped mid-run or the run is canceled.
+	// Required.
+	Local campaign.Executor
 
-	// Local runs tasks in-process when the fabric degrades: at start
-	// when no worker is reachable, or mid-run when every worker has
-	// been dropped. Required.
-	Local *engine.Runner
-	// LocalCfg is the engine config for degraded local execution.
-	LocalCfg engine.Config
-
-	// OnDone observes each merged report as its task settles (settle
-	// order, concurrently across worker streams) — progress reporting,
-	// not part of the deterministic output.
-	OnDone func(engine.Report)
 	// OnDegrade observes a degradation to local execution with a
 	// human-readable reason.
 	OnDegrade func(reason string)
 	// Logf receives coordinator progress lines; nil discards them.
 	Logf func(format string, args ...any)
 
-	mu         sync.Mutex
-	states     map[string]*taskState
-	order      []string
-	journalErr error
+	mu     sync.Mutex
+	states map[string]*taskState
+	order  []string
+	onDone func(engine.Report)
 }
 
 // taskState is the coordinator-side life of one task.
@@ -156,65 +147,29 @@ type taskState struct {
 	lastErr       error
 }
 
-// Run executes the suite across the worker pool and returns one merged
-// report per task in task order — the same contract as campaign.Run.
-// The returned error reports journal failures; per-task failures live
-// in the reports.
-func (c *Coordinator) Run(ctx context.Context, tasks []engine.Task) ([]engine.Report, error) {
-	healthy := c.probeAll(ctx)
-	if len(healthy) == 0 {
-		reason := fmt.Sprintf("fabric: no reachable workers among %d configured; degrading to local in-process execution", len(c.Workers))
-		c.degrade(reason)
-		if c.Campaign != nil {
-			// Delegate wholesale: campaign.Run owns replay, journaling
-			// and the crash point, so a degraded coordinator is exactly
-			// a single-process campaign.
-			local := *c.Local
-			local.OnDone = c.chainLocal(c.Local.OnDone)
-			return c.Campaign.Run(ctx, &local, tasks, c.LocalCfg)
-		}
-		local := *c.Local
-		local.OnDone = c.chainLocal(c.Local.OnDone)
-		return local.RunSuite(ctx, tasks, c.LocalCfg), nil
+// Run executes tasks across the worker pool; it is a
+// campaign.Executor. Each report goes to onDone as its task settles,
+// whichever way it settles: streamed by a worker, refused by a breaker,
+// out of dispatch budget, or run by the local fallback. Run returns one
+// report per task in task order; per-task failures live in the reports.
+func (c *Coordinator) Run(ctx context.Context, tasks []engine.Task, onDone func(engine.Report)) []engine.Report {
+	if onDone == nil {
+		onDone = func(engine.Report) {}
 	}
-
 	c.mu.Lock()
+	c.onDone = onDone
 	c.states = make(map[string]*taskState, len(tasks))
 	c.order = c.order[:0]
-	replayed := make(map[string]campaign.TaskRecord)
-	if c.Campaign != nil {
-		for _, rec := range c.Campaign.Replayed {
-			if rec.Completed() {
-				replayed[rec.ID] = rec
-			}
-		}
-	}
 	for _, t := range tasks {
 		c.states[t.ID] = &taskState{task: t}
 		c.order = append(c.order, t.ID)
 	}
 	c.mu.Unlock()
 
-	// Replay first, in task order: observers see the recovered history
-	// before any fresh progress, exactly like campaign.Run. Replayed
-	// records are not re-journaled and don't advance the crash clock.
-	for _, t := range tasks {
-		rec, ok := replayed[t.ID]
-		if !ok {
-			continue
-		}
-		rep := campaign.ReplayReport(t, rec)
-		rep.RunID = c.RunID
-		c.mu.Lock()
-		st := c.states[t.ID]
-		st.settled = true
-		st.rep = rep
-		c.mu.Unlock()
-		if c.OnDone != nil {
-			c.OnDone(rep)
-		}
+	healthy := c.probeAll(ctx)
+	if len(healthy) == 0 {
+		c.degrade(fmt.Sprintf("fabric: no reachable workers among %d configured; degrading to local in-process execution", len(c.Workers)))
 	}
-
 	var wg sync.WaitGroup
 	for _, w := range healthy {
 		wg.Add(1)
@@ -225,80 +180,23 @@ func (c *Coordinator) Run(ctx context.Context, tasks []engine.Task) ([]engine.Re
 	}
 	wg.Wait()
 
-	// Whatever is still unsettled survived every worker (total worker
-	// loss, or cancellation): degrade the remainder to local execution
-	// so the run still completes — the local re-run settles with the
-	// same bytes a worker would have streamed.
-	if rest := c.unsettledTasks(); len(rest) > 0 && ctx.Err() == nil {
-		c.degrade(fmt.Sprintf("fabric: all workers lost with %d task(s) unsettled; degrading to local in-process execution", len(rest)))
-		local := *c.Local
-		local.OnDone = c.chainLocal(c.Local.OnDone)
-		local.RunSuite(ctx, rest, c.LocalCfg)
-	}
-
-	// Tasks never settled (cancelled before dispatch and before the
-	// local fallback) get the runner's cancellation report so the
-	// merged slice is total.
-	reports := make([]engine.Report, 0, len(tasks))
-	c.mu.Lock()
-	journalErr := c.journalErr
-	for _, id := range c.order {
-		st := c.states[id]
-		if !st.settled {
-			err := ctx.Err()
-			if err == nil {
-				err = context.Canceled
-			}
-			st.rep = engine.Report{
-				Task:  st.task,
-				Seed:  engine.DeriveSeed(c.BaseSeed, id),
-				Err:   fmt.Errorf("engine: task %s: %w", id, err),
-				RunID: c.RunID,
-			}
+	// Whatever is still unsettled survived every worker (none reachable,
+	// total worker loss, or cancellation): the local executor settles
+	// the remainder, with the same bytes a worker would have streamed,
+	// or with the cancellation reports a local run would give.
+	if rest := c.unsettledTasks(); len(rest) > 0 {
+		if len(healthy) > 0 && ctx.Err() == nil {
+			c.degrade(fmt.Sprintf("fabric: all workers lost with %d task(s) unsettled; degrading to local in-process execution", len(rest)))
 		}
-		reports = append(reports, st.rep)
-	}
-	c.mu.Unlock()
-	return reports, journalErr
-}
-
-// chainLocal wraps the local runner's OnDone so degraded in-process
-// outcomes flow through the same settle path as streamed ones
-// (journal, breaker observation, merged-report bookkeeping) — minus
-// double observation: the local runner already observed its breakers,
-// so settleLocal skips Observe.
-func (c *Coordinator) chainLocal(orig func(engine.Report)) func(engine.Report) {
-	return func(rep engine.Report) {
-		if orig != nil {
-			orig(rep)
+		for _, rep := range c.Local(ctx, rest, onDone) {
+			c.states[rep.Task.ID].rep = rep
 		}
-		c.settleLocal(rep)
 	}
-}
-
-// settleLocal records a locally-run report in the merged result set.
-// When the coordinator delegated wholesale to campaign.Run (startup
-// degradation) states is nil and campaign.Run owns the journal; mid-run
-// degradation journals like a streamed settle. Either way the local
-// runner's own OnDone has already notified observers, so — unlike
-// settle — no OnDone fires here.
-func (c *Coordinator) settleLocal(rep engine.Report) {
-	c.mu.Lock()
-	if c.states == nil {
-		c.mu.Unlock()
-		return
+	reports := make([]engine.Report, len(c.order))
+	for i, id := range c.order {
+		reports[i] = c.states[id].rep
 	}
-	st, ok := c.states[rep.Task.ID]
-	if !ok || st.settled {
-		c.mu.Unlock()
-		return
-	}
-	rep.Wall = 0
-	rep.RunID = c.RunID
-	st.settled = true
-	st.rep = rep
-	c.mu.Unlock()
-	c.journal(campaign.RecordOf(rep))
+	return reports
 }
 
 // workerLoop drives one worker: pull a batch, dispatch it, settle the
@@ -395,13 +293,10 @@ func (c *Coordinator) take() []*taskState {
 		}
 	}
 	c.mu.Unlock()
-	// Settle refusals outside the lock: journal + OnDone, but no
-	// breaker Observe — RunTask doesn't observe skipped tasks either.
+	// Settle refusals outside the lock, without a breaker Observe:
+	// RunTask doesn't observe skipped tasks either.
 	for _, st := range refused {
-		c.journal(campaign.RecordOf(st.rep))
-		if c.OnDone != nil {
-			c.OnDone(st.rep)
-		}
+		c.onDone(st.rep)
 	}
 	return batch
 }
@@ -517,10 +412,7 @@ func (c *Coordinator) requeue(batch []*taskState, dispatchErr error) int {
 	}
 	for _, st := range exhausted {
 		c.Breakers.Observe(st.task.BreakerFamily(), st.rep.Outcome())
-		c.journal(campaign.RecordOf(st.rep))
-		if c.OnDone != nil {
-			c.OnDone(st.rep)
-		}
+		c.onDone(st.rep)
 	}
 	return requeued
 }
@@ -575,13 +467,28 @@ func (c *Coordinator) dispatch(ctx context.Context, url string, batch []*taskSta
 	})
 	defer lease.Stop()
 
-	sc := bufio.NewScanner(resp.Body)
+	err = c.consume(resp.Body, func() { lease.Reset(c.lease()) })
+	if expired.Load() {
+		return fmt.Errorf("fabric: worker %s: %w after %s of silence", url, ErrLeaseExpired, c.lease())
+	}
+	if err != nil {
+		return fmt.Errorf("fabric: worker %s: %w", url, err)
+	}
+	return nil
+}
+
+// consume folds one outcome stream into the run: every frame calls
+// renew, every task frame settles its task, and the first frame with a
+// bad checksum, an unknown kind or an undecodable record ends the
+// stream with an error.
+func (c *Coordinator) consume(stream io.Reader, renew func()) error {
+	sc := bufio.NewScanner(stream)
 	sc.Buffer(make([]byte, 64*1024), 32<<20)
 	for sc.Scan() {
-		lease.Reset(c.lease())
+		renew()
 		frame, err := durable.ParseFrame(sc.Bytes())
 		if err != nil {
-			return fmt.Errorf("fabric: worker %s: %w", url, err)
+			return err
 		}
 		switch frame.Kind {
 		case KindLease:
@@ -589,31 +496,25 @@ func (c *Coordinator) dispatch(ctx context.Context, url string, batch []*taskSta
 		case KindTask:
 			var rec campaign.TaskRecord
 			if err := json.Unmarshal(frame.Payload, &rec); err != nil {
-				return fmt.Errorf("fabric: worker %s: bad task record: %w", url, err)
+				return fmt.Errorf("bad task record: %w", err)
 			}
 			c.settle(rec)
 		default:
-			return fmt.Errorf("fabric: worker %s: unknown frame kind %q", url, frame.Kind)
+			return fmt.Errorf("unknown frame kind %q", frame.Kind)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		if expired.Load() {
-			return fmt.Errorf("fabric: worker %s: %w after %s of silence", url, ErrLeaseExpired, c.lease())
-		}
-		return fmt.Errorf("fabric: worker %s: reading outcome stream: %w", url, err)
-	}
-	if expired.Load() {
-		return fmt.Errorf("fabric: worker %s: %w after %s of silence", url, ErrLeaseExpired, c.lease())
+		return fmt.Errorf("reading outcome stream: %w", err)
 	}
 	return nil
 }
 
 // settle records one streamed outcome: first settle wins (a stolen
 // duplicate arriving later is dropped — identical bytes, so nothing is
-// lost), the record is journaled exactly as a local campaign would
-// journal it, the breaker set observes the outcome, and the merged
-// report is rebuilt through the replay path so its rendering is
-// byte-identical to a single-process run's.
+// lost), the breaker set observes the outcome, and the report is
+// rebuilt through campaign.ReportOf, the path a resumed campaign
+// replays through, so it renders byte-identically to a single-process
+// run's.
 func (c *Coordinator) settle(rec campaign.TaskRecord) {
 	c.mu.Lock()
 	st, ok := c.states[rec.ID]
@@ -622,60 +523,11 @@ func (c *Coordinator) settle(rec campaign.TaskRecord) {
 		return
 	}
 	st.settled = true
-	rep := mergedReport(st.task, rec, c.RunID)
-	st.rep = rep
-	family := st.task.BreakerFamily()
+	st.rep = campaign.ReportOf(st.task, rec, c.RunID)
 	c.mu.Unlock()
 
-	c.Breakers.Observe(family, rec.Outcome)
-	c.journal(rec)
-	if c.OnDone != nil {
-		c.OnDone(rep)
-	}
-}
-
-// mergedReport reconstructs a report from a streamed record. Completed
-// records go through campaign.ReplayReport (checkpointed bytes
-// verbatim); failed records rebuild the failure so FormatText and the
-// JSON export render the worker's error exactly as a local run would.
-func mergedReport(t engine.Task, rec campaign.TaskRecord, runID string) engine.Report {
-	if rec.Completed() {
-		rep := campaign.ReplayReport(t, rec)
-		rep.RunID = runID
-		return rep
-	}
-	return engine.Report{
-		Task:           t,
-		Seed:           rec.Seed,
-		Attempts:       rec.Attempts,
-		Err:            errors.New(rec.Error),
-		Panicked:       rec.Outcome == "panic",
-		Exhausted:      rec.Outcome == "exhausted",
-		SkippedBreaker: rec.Outcome == "skipped-open-breaker",
-		RunID:          runID,
-	}
-}
-
-// journal appends a settled record to the campaign journal (when
-// checkpointing) and fires the coordinator-targeted crash point when
-// the append count reaches it — the fabric analog of campaign.Run's
-// OnDone wrapper.
-func (c *Coordinator) journal(rec campaign.TaskRecord) {
-	if c.Campaign == nil {
-		return
-	}
-	n, err := c.Campaign.Journal.Append(rec)
-	if err != nil {
-		c.logf("fabric: journaling %s: %v", rec.ID, err)
-		c.mu.Lock()
-		if c.journalErr == nil {
-			c.journalErr = err
-		}
-		c.mu.Unlock()
-	}
-	if c.Campaign.CrashAfter > 0 && n >= c.Campaign.CrashAfter {
-		c.Campaign.Crash()
-	}
+	c.Breakers.Observe(st.task.BreakerFamily(), rec.Outcome)
+	c.onDone(st.rep)
 }
 
 // probeAll health-checks the configured workers and returns the

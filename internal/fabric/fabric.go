@@ -13,6 +13,13 @@
 // reassign, duplicate ("work-steal"), or locally re-run tasks without
 // ever perturbing the merged result.
 //
+// The coordinator only dispatches. Its Run is a campaign.Executor: it
+// hands each settled report to its onDone and returns the reports in
+// task order, and campaign.Run drives it exactly as it drives a local
+// run, so replay on resume, journaling before observation and the
+// chaos crash point are the local path's. A worker ticks the same
+// campaign.CrashPoint per streamed outcome.
+//
 // Wire protocol (schema branchscope.fabric/v1, DESIGN §3.20). The
 // coordinator POSTs an Assignment to a worker's /fabric/run endpoint:
 // the run identity basis (program, base seed, quick, result-shaping

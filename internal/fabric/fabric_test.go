@@ -133,8 +133,7 @@ func newCoordinator(urls []string, runID string) *Coordinator {
 		Config:        map[string]any{"knob": "v"},
 		RunID:         runID,
 		Lease:         2 * time.Second,
-		Local:         &engine.Runner{RunID: runID},
-		LocalCfg:      engine.Config{Seed: testSeed},
+		Local:         campaign.Local(&engine.Runner{RunID: runID}, engine.Config{Seed: testSeed}),
 		ProbeAttempts: 1,
 		ProbeBackoff:  10 * time.Millisecond,
 	}
@@ -225,10 +224,7 @@ func TestMergedRunByteIdentical(t *testing.T) {
 			coord := newCoordinator(urls, "bsr-test")
 			coord.Logf = lc.logf
 			coord.OnDegrade = func(reason string) { t.Errorf("unexpected degradation: %s", reason) }
-			reports, err := coord.Run(context.Background(), tasks)
-			if err != nil {
-				t.Fatalf("coordinator run: %v", err)
-			}
+			reports := coord.Run(context.Background(), tasks, nil)
 			gotText, gotJSON, gotMan := render(t, reports, "bsr-test", taskIDs(tasks))
 			if gotText != wantText {
 				t.Errorf("merged text report differs from single-process run:\n--- got ---\n%s\n--- want ---\n%s", gotText, wantText)
@@ -255,20 +251,17 @@ func TestWorkerCrashMidRun(t *testing.T) {
 	wantText, wantJSON, wantMan := oracle(t, tasks, "bsr-test")
 
 	victim := newTestWorker(t, tasks)
-	victim.wk.CrashAfter = 2
-	victim.wk.CrashFn = victim.kill
+	victim.wk.CrashPoint.After = 2
+	victim.wk.CrashPoint.Fn = victim.kill
 	survivor := newTestWorker(t, tasks)
 
 	coord := newCoordinator([]string{victim.srv.URL, survivor.srv.URL}, "bsr-test")
 	coord.StealAfter = time.Minute // reassignment must come from the requeue, not stealing
 	coord.DispatchBudget = 10
 	coord.WorkerBudget = 1 // drop the dead worker on its first post-crash failure
-	reports, err := coord.Run(context.Background(), tasks)
-	if err != nil {
-		t.Fatalf("coordinator run: %v", err)
-	}
+	reports := coord.Run(context.Background(), tasks, nil)
 	if !victim.down.Load() {
-		t.Fatal("victim worker never crashed: CrashAfter did not fire")
+		t.Fatal("victim worker never crashed: its crash point did not fire")
 	}
 	gotText, gotJSON, gotMan := render(t, reports, "bsr-test", taskIDs(tasks))
 	if gotText != wantText {
@@ -312,10 +305,7 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	coord.WorkerBudget = 20 // keep probing the silent worker; progress must come from reassignment
 	coord.Logf = lc.logf
 	healthy.wk.Heartbeat = 25 * time.Millisecond
-	reports, err := coord.Run(context.Background(), tasks)
-	if err != nil {
-		t.Fatalf("coordinator run: %v", err)
-	}
+	reports := coord.Run(context.Background(), tasks, nil)
 	gotText, gotJSON, _ := render(t, reports, "bsr-test", taskIDs(tasks))
 	if gotText != wantText {
 		t.Errorf("merged text report differs under lease expiry:\n--- got ---\n%s\n--- want ---\n%s", gotText, wantText)
@@ -338,10 +328,7 @@ func TestStartupDegradation(t *testing.T) {
 	var degraded atomic.Value
 	coord := newCoordinator([]string{"http://127.0.0.1:1", "http://127.0.0.1:2"}, "bsr-test")
 	coord.OnDegrade = func(reason string) { degraded.Store(reason) }
-	reports, err := coord.Run(context.Background(), tasks)
-	if err != nil {
-		t.Fatalf("coordinator run: %v", err)
-	}
+	reports := coord.Run(context.Background(), tasks, nil)
 	reason, _ := degraded.Load().(string)
 	if !strings.Contains(reason, "no reachable workers") {
 		t.Errorf("degradation reason = %q, want it to mention no reachable workers", reason)
@@ -367,6 +354,7 @@ func TestTakeRefusesTrippedFamily(t *testing.T) {
 
 	c := newCoordinator([]string{"http://unused:1"}, "bsr-test")
 	c.Breakers = engine.NewBreakerSet(1)
+	c.onDone = func(engine.Report) {}
 	c.states = make(map[string]*taskState, len(tasks))
 	for _, task := range tasks {
 		c.states[task.ID] = &taskState{task: task}
@@ -421,18 +409,16 @@ func TestBreakerPropagation(t *testing.T) {
 	tasks[3].Family = "good"
 
 	victim := newTestWorker(t, tasks)
-	victim.wk.CrashAfter = 1 // crash right after streaming bad1's failure
-	victim.wk.CrashFn = victim.kill
+	victim.wk.CrashPoint.After = 1 // crash right after streaming bad1's failure
+	victim.wk.CrashPoint.Fn = victim.kill
 
 	coord := newCoordinator([]string{victim.srv.URL}, "bsr-test")
 	coord.Breakers = engine.NewBreakerSet(1)
-	coord.Local.Breakers = coord.Breakers // one central set, shared with degraded-local execution
+	// One central set, shared with degraded-local execution.
+	coord.Local = campaign.Local(&engine.Runner{RunID: "bsr-test", Breakers: coord.Breakers}, engine.Config{Seed: testSeed})
 	coord.StealAfter = time.Minute
 	coord.WorkerBudget = 1
-	reports, err := coord.Run(context.Background(), tasks)
-	if err != nil {
-		t.Fatalf("coordinator run: %v", err)
-	}
+	reports := coord.Run(context.Background(), tasks, nil)
 	byID := make(map[string]engine.Report, len(reports))
 	for _, rep := range reports {
 		byID[rep.Task.ID] = rep
@@ -513,10 +499,11 @@ func TestWorkerRefusesForeignAssignment(t *testing.T) {
 	}
 }
 
-// TestCampaignCrashResume runs a checkpointed distributed campaign,
-// crashes the coordinator at its chaos crash point (after 3 journaled
-// outcomes), resumes from the journal, and requires the final merged
-// output to be byte-identical to an uninterrupted single-process run.
+// TestCampaignCrashResume drives campaign.Run with the coordinator as
+// its executor: a checkpointed distributed campaign crashes at its
+// chaos crash point (after 3 journaled outcomes), resumes from the
+// journal, and the final merged output must be byte-identical to an
+// uninterrupted single-process run.
 func TestCampaignCrashResume(t *testing.T) {
 	tasks := suite(8)
 	ids := taskIDs(tasks)
@@ -530,13 +517,12 @@ func TestCampaignCrashResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	camp.CrashAfter = 3
-	camp.CrashFn = cancel // the non-exiting test stand-in for os.Exit(3)
+	camp.CrashPoint.After = 3
+	camp.CrashPoint.Fn = cancel // the non-exiting test stand-in for os.Exit(3)
 
 	w1, w2 := newTestWorker(t, tasks), newTestWorker(t, tasks)
 	coord := newCoordinator([]string{w1.srv.URL, w2.srv.URL}, "bsr-test")
-	coord.Campaign = camp
-	if _, err := coord.Run(ctx, tasks); err != nil {
+	if _, err := camp.Run(ctx, tasks, "bsr-test", nil, coord.Run); err != nil {
 		t.Fatalf("first (crashing) coordinator run: %v", err)
 	}
 	if err := camp.Journal.Close(); err != nil {
@@ -551,8 +537,7 @@ func TestCampaignCrashResume(t *testing.T) {
 		t.Fatalf("resumed campaign replays %d records, want >= 3 (crash point)", len(resumed.Replayed))
 	}
 	coord2 := newCoordinator([]string{w1.srv.URL, w2.srv.URL}, "bsr-test")
-	coord2.Campaign = resumed
-	reports, err := coord2.Run(context.Background(), tasks)
+	reports, err := resumed.Run(context.Background(), tasks, "bsr-test", nil, coord2.Run)
 	if err != nil {
 		t.Fatalf("resumed coordinator run: %v", err)
 	}
@@ -576,18 +561,15 @@ func TestMidRunTotalWorkerLoss(t *testing.T) {
 	wantText, wantJSON, _ := oracle(t, tasks, "bsr-test")
 
 	w1 := newTestWorker(t, tasks)
-	w1.wk.CrashAfter = 2
-	w1.wk.CrashFn = w1.kill
+	w1.wk.CrashPoint.After = 2
+	w1.wk.CrashPoint.Fn = w1.kill
 
 	var degraded atomic.Value
 	coord := newCoordinator([]string{w1.srv.URL}, "bsr-test")
 	coord.StealAfter = time.Minute
 	coord.WorkerBudget = 1
 	coord.OnDegrade = func(reason string) { degraded.Store(reason) }
-	reports, err := coord.Run(context.Background(), tasks)
-	if err != nil {
-		t.Fatalf("coordinator run: %v", err)
-	}
+	reports := coord.Run(context.Background(), tasks, nil)
 	reason, _ := degraded.Load().(string)
 	if !strings.Contains(reason, "all workers lost") {
 		t.Errorf("degradation reason = %q, want it to mention all workers lost", reason)
@@ -598,6 +580,99 @@ func TestMidRunTotalWorkerLoss(t *testing.T) {
 	}
 	if gotJSON != wantJSON {
 		t.Errorf("total-loss merged JSON export differs")
+	}
+}
+
+// TestFallbackJournalsBeforeObserving: under -checkpoint, the
+// coordinator's local fallback journals each outcome before any
+// observer sees it, as a local run does (DESIGN §3.16). The only worker
+// dies after streaming two outcomes, so the other four settle locally;
+// the observer reloads the journal on every callback.
+func TestFallbackJournalsBeforeObserving(t *testing.T) {
+	tasks := suite(6)
+	w1 := newTestWorker(t, tasks)
+	w1.wk.CrashPoint.After = 2
+	w1.wk.CrashPoint.Fn = w1.kill
+
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	camp, err := campaign.New(path, campaign.Header{RunID: "bsr-test", Program: "fabrictest", BaseSeed: testSeed, Tasks: taskIDs(tasks)})
+	if err != nil {
+		t.Fatalf("creating campaign: %v", err)
+	}
+	defer camp.Journal.Close()
+	var mu sync.Mutex
+	var observed, unjournaled []string
+	observe := func(rep engine.Report) {
+		_, recs, _, err := campaign.Load(path)
+		if err != nil {
+			t.Errorf("loading journal: %v", err)
+		}
+		journaled := false
+		for _, rec := range recs {
+			journaled = journaled || rec.ID == rep.Task.ID
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		observed = append(observed, rep.Task.ID)
+		if !journaled {
+			unjournaled = append(unjournaled, rep.Task.ID)
+		}
+	}
+
+	var degraded atomic.Value
+	coord := newCoordinator([]string{w1.srv.URL}, "bsr-test")
+	coord.StealAfter = time.Minute
+	coord.WorkerBudget = 1
+	coord.OnDegrade = func(reason string) { degraded.Store(reason) }
+	if _, err := camp.Run(context.Background(), tasks, "bsr-test", observe, coord.Run); err != nil {
+		t.Fatalf("campaign run: %v", err)
+	}
+	if reason, _ := degraded.Load().(string); !strings.Contains(reason, "all workers lost") {
+		t.Fatalf("degradation reason = %q, want the mid-run local fallback", reason)
+	}
+	if len(observed) != len(tasks) {
+		t.Errorf("observers saw %d outcomes, want %d: %v", len(observed), len(tasks), observed)
+	}
+	if len(unjournaled) > 0 {
+		t.Errorf("observers saw %v before they were journaled", unjournaled)
+	}
+}
+
+// TestCrashPointParity: the crash point fires right after the Nth
+// journaled outcome has reached the observers, whether the campaign's
+// executor is the local runner or a coordinator.
+func TestCrashPointParity(t *testing.T) {
+	tasks := suite(6)
+	for _, executor := range []string{"local", "coordinator"} {
+		t.Run(executor, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "campaign.journal")
+			camp, err := campaign.New(path, campaign.Header{RunID: "bsr-test", Program: "fabrictest", BaseSeed: testSeed, Tasks: taskIDs(tasks)})
+			if err != nil {
+				t.Fatalf("creating campaign: %v", err)
+			}
+			defer camp.Journal.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var seen atomic.Int64
+			seenAtCrash := int64(-1)
+			camp.CrashPoint.After = 3
+			camp.CrashPoint.Fn = func() {
+				seenAtCrash = seen.Load()
+				cancel()
+			}
+
+			exec := campaign.Local(&engine.Runner{RunID: "bsr-test"}, engine.Config{Seed: testSeed})
+			if executor == "coordinator" {
+				// One worker, so outcomes settle one at a time.
+				exec = newCoordinator([]string{newTestWorker(t, tasks).srv.URL}, "bsr-test").Run
+			}
+			if _, err := camp.Run(ctx, tasks, "bsr-test", func(engine.Report) { seen.Add(1) }, exec); err != nil {
+				t.Fatalf("campaign run: %v", err)
+			}
+			if seenAtCrash != 3 {
+				t.Errorf("observers had seen %d outcomes when the crash point fired, want 3", seenAtCrash)
+			}
+		})
 	}
 }
 

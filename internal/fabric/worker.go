@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -43,22 +42,12 @@ type Worker struct {
 	// still running; 0 derives a third of the assignment's lease.
 	Heartbeat time.Duration
 
-	// CrashAfter, when > 0, crashes the process right after that many
-	// task outcomes have been streamed by this worker — the chaos crash
-	// fault class's worker-targeted mode. The streamed-outcome counter
-	// is the worker-side analog of the campaign journal's append
-	// counter, and survives across assignments.
-	CrashAfter int
-	// CrashFn is the crash action; nil means os.Exit(CrashExitCode).
-	CrashFn func()
+	// CrashPoint ticks once per outcome this worker streams, across
+	// assignments — the chaos crash fault class's worker-targeted mode.
+	CrashPoint campaign.CrashPoint
 
 	// Logf receives worker progress lines; nil discards them.
 	Logf func(format string, args ...any)
-
-	crashOnce sync.Once
-
-	mu       sync.Mutex
-	streamed int
 }
 
 // Handler returns the worker's fabric endpoint handler, to be mounted
@@ -151,9 +140,7 @@ func (wk *Worker) serveRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		wk.logf("fabric: worker streamed %s (%s)", t.ID, rep.Outcome())
-		if n := wk.bumpStreamed(); wk.CrashAfter > 0 && n >= wk.CrashAfter {
-			wk.crash()
-		}
+		wk.CrashPoint.Tick()
 	}
 }
 
@@ -193,26 +180,6 @@ func (wk *Worker) heartbeat(sw *streamWriter, taskID string, lease time.Duration
 		close(done)
 		<-finished
 	}
-}
-
-// bumpStreamed advances the streamed-outcome counter (the worker-side
-// crash-point clock).
-func (wk *Worker) bumpStreamed() int {
-	wk.mu.Lock()
-	defer wk.mu.Unlock()
-	wk.streamed++
-	return wk.streamed
-}
-
-// crash fires the worker crash point exactly once.
-func (wk *Worker) crash() {
-	wk.crashOnce.Do(func() {
-		if wk.CrashFn != nil {
-			wk.CrashFn()
-			return
-		}
-		os.Exit(campaign.CrashExitCode)
-	})
 }
 
 func (wk *Worker) logf(format string, args ...any) {

@@ -114,7 +114,7 @@ func TestArchiveCrashResumeInvariance(t *testing.T) {
 
 	runCampaign := func(camp *campaign.Campaign, run []engine.Task) []engine.Report {
 		t.Helper()
-		reports, err := camp.Run(ctx, &engine.Runner{}, run, cfg)
+		reports, err := camp.Run(ctx, run, "", nil, campaign.Local(&engine.Runner{}, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
