@@ -63,7 +63,7 @@ func writeArchive(t *testing.T, workers int, seed uint64, failTask string) strin
 	for i := range reports {
 		reports[i].Wall = 0
 		rep := reports[i]
-		o := runstore.TaskOutcome{ID: rep.Task.ID, Seed: rep.Seed, Outcome: rep.Outcome(), Attempts: rep.Attempts}
+		o := runstore.TaskOutcome{ID: rep.Task.ID, Seed: rep.Seed, Outcome: rep.Outcome, Attempts: rep.Attempts}
 		if rep.Err != nil {
 			o.Error = rep.Err.Error()
 		}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -152,7 +153,7 @@ func headerMatches(got, want Header) error {
 
 // Run executes tasks durably through exec. Completed tasks from a
 // resumed journal are replayed first, in task order: each becomes a
-// report stamped with runID and goes to observe. The rest run fresh
+// report (ReportOf) and goes to observe. The rest run fresh
 // through exec, and each fresh outcome is journaled — fsynced — before
 // observe sees it, then ticks the crash point. Reports come back in
 // task order, exactly as exec alone would return them; the error
@@ -164,7 +165,7 @@ func headerMatches(got, want Header) error {
 // used, and replayed results re-emit their checkpointed bytes verbatim
 // — the merged report renders byte-identically to an uninterrupted
 // run's at any parallelism, on any executor.
-func (c *Campaign) Run(ctx context.Context, tasks []engine.Task, runID string, observe func(engine.Report), exec Executor) ([]engine.Report, error) {
+func (c *Campaign) Run(ctx context.Context, tasks []engine.Task, observe func(engine.Report), exec Executor) ([]engine.Report, error) {
 	if observe == nil {
 		observe = func(engine.Report) {}
 	}
@@ -181,7 +182,7 @@ func (c *Campaign) Run(ctx context.Context, tasks []engine.Task, runID string, o
 	var pending []engine.Task
 	for i, t := range tasks {
 		if rec, ok := done[t.ID]; ok {
-			reports[i] = ReportOf(t, rec, runID)
+			reports[i] = ReportOf(t, rec)
 			observe(reports[i])
 		} else {
 			pending = append(pending, t)
@@ -217,15 +218,14 @@ func (c *Campaign) Run(ctx context.Context, tasks []engine.Task, runID string, o
 
 // RecordOf converts a finished report into its journal record — the
 // exact bytes Run journals, and the fabric wire payload a worker
-// streams back to its coordinator. A record keeps how its task ran, so
-// a report rebuilt from one (ReportOf) converts back to that same
-// record, never to a "replayed" one.
+// streams back to its coordinator. A record keeps how its task ran
+// (the report's Outcome), so a report rebuilt from one (ReportOf)
+// converts back to that same record.
 func RecordOf(rep engine.Report) TaskRecord {
-	rep.Replayed = false
 	rec := TaskRecord{
 		ID:       rep.Task.ID,
 		Seed:     rep.Seed,
-		Outcome:  rep.Outcome(),
+		Outcome:  rep.Outcome,
 		Attempts: rep.Attempts,
 	}
 	if rep.Err != nil {
@@ -250,42 +250,21 @@ func RecordOf(rep engine.Report) TaskRecord {
 }
 
 // ReportOf is RecordOf's inverse: it rebuilds task t's report from its
-// record, stamped with runID. A completed record comes back as a
-// "replayed" report that renders the record's checkpointed bytes
-// verbatim, which is what makes both the resume path and the fabric
-// merge byte-identical to an uninterrupted local run. A failed record
-// comes back as the failure it records, classified as it was.
-func ReportOf(t engine.Task, rec TaskRecord, runID string) engine.Report {
-	rep := engine.Report{Task: t, Seed: rec.Seed, Attempts: rec.Attempts, RunID: runID}
+// record, with the record's outcome. A completed record comes back
+// Replayed, rendering the record's checkpointed bytes verbatim, which is
+// what makes both the resume path and the fabric merge byte-identical
+// to an uninterrupted local run. A failed record comes back as the
+// failure it records, its error reading as the recorded text.
+func ReportOf(t engine.Task, rec TaskRecord) engine.Report {
+	rep := engine.Report{Task: t, Seed: rec.Seed, Attempts: rec.Attempts, Outcome: rec.Outcome}
 	if rec.Completed() {
 		rep.Replayed = true
 		rep.Result = replayResult{text: rec.ResultText, rows: rec.Rows}
 		return rep
 	}
-	rep.Err = recordedError{msg: rec.Error, cause: failureCauses[rec.Outcome]}
-	rep.Panicked = rec.Outcome == "panic"
-	rep.Exhausted = rec.Outcome == "exhausted"
-	rep.SkippedBreaker = rec.Outcome == "skipped-open-breaker"
+	rep.Err = errors.New(rec.Error)
 	return rep
 }
-
-// failureCauses maps the failed outcomes that engine.Report.Outcome
-// reads off the error chain to the error each one rests on.
-var failureCauses = map[string]error{
-	"timeout":              context.DeadlineExceeded,
-	"canceled":             context.Canceled,
-	"skipped-open-breaker": engine.ErrBreakerOpen,
-}
-
-// recordedError is a journaled failure: it reads as the record's error
-// text and unwraps to the cause its outcome names.
-type recordedError struct {
-	msg   string
-	cause error
-}
-
-func (e recordedError) Error() string { return e.msg }
-func (e recordedError) Unwrap() error { return e.cause }
 
 // replayResult renders a journaled result byte-for-byte: String
 // returns the checkpointed text, Rows wraps the checkpointed row JSON

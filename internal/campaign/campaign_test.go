@@ -95,7 +95,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseReports, err := baseCamp.Run(context.Background(), tasks, "", nil, Local(&engine.Runner{}, cfg))
+	baseReports, err := baseCamp.Run(context.Background(), tasks, nil, Local(&engine.Runner{}, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	defer cancel()
 	crashCamp.CrashPoint.After = 3
 	crashCamp.CrashPoint.Fn = cancel
-	if _, err := crashCamp.Run(ctx, tasks, "", nil, Local(&engine.Runner{}, cfg)); err != nil {
+	if _, err := crashCamp.Run(ctx, tasks, nil, Local(&engine.Runner{}, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	crashCamp.Journal.Close()
@@ -159,13 +159,13 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		OnDone: func(rep engine.Report) {
 			if rep.Replayed {
 				replayedSeen = append(replayedSeen, rep.Task.ID)
-				if o := rep.Outcome(); o != "replayed" {
-					t.Errorf("replayed report outcome = %q", o)
+				if o := rep.Outcome; o != "ok" {
+					t.Errorf("replayed report outcome = %q, want the recorded ok", o)
 				}
 			}
 		},
 	}
-	resReports, err := resumed.Run(context.Background(), tasks, "", runner.OnDone, Local(runner, cfg))
+	resReports, err := resumed.Run(context.Background(), tasks, runner.OnDone, Local(runner, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestResumeCompletedRunReplaysEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseReports, err := camp.Run(context.Background(), tasks, "", nil, Local(&engine.Runner{}, cfg))
+	baseReports, err := camp.Run(context.Background(), tasks, nil, Local(&engine.Runner{}, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestResumeCompletedRunReplaysEverything(t *testing.T) {
 			return inner(ctx, cfg)
 		}
 	}
-	resReports, err := resumed.Run(context.Background(), wrapped, "", nil, Local(&engine.Runner{}, cfg))
+	resReports, err := resumed.Run(context.Background(), wrapped, nil, Local(&engine.Runner{}, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestCrashAfterCountsFreshOutcomesOnly(t *testing.T) {
 	camp.CrashPoint.After = 2
 	crashes := 0
 	camp.CrashPoint.Fn = func() { crashes++; cancel() }
-	if _, err := camp.Run(ctx, tasks, "", nil, Local(&engine.Runner{}, cfg)); err != nil {
+	if _, err := camp.Run(ctx, tasks, nil, Local(&engine.Runner{}, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	camp.Journal.Close()
@@ -480,7 +480,7 @@ func TestCrashAfterCountsFreshOutcomesOnly(t *testing.T) {
 	defer cancel2()
 	resumed.CrashPoint.After = 2
 	resumed.CrashPoint.Fn = func() { crashes++; cancel2() }
-	if _, err := resumed.Run(ctx2, tasks, "", nil, Local(&engine.Runner{}, cfg)); err != nil {
+	if _, err := resumed.Run(ctx2, tasks, nil, Local(&engine.Runner{}, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	resumed.Journal.Close()
@@ -509,7 +509,7 @@ func TestJournalFailureSurfacesFromRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	camp.Journal.Close() // sabotage: every append now fails
-	if _, err := camp.Run(context.Background(), tasks, "", nil, Local(&engine.Runner{}, engine.Config{Quick: true, Seed: 42})); err == nil {
+	if _, err := camp.Run(context.Background(), tasks, nil, Local(&engine.Runner{}, engine.Config{Quick: true, Seed: 42})); err == nil {
 		t.Fatal("Run succeeded with a dead journal")
 	}
 }
@@ -517,30 +517,27 @@ func TestJournalFailureSurfacesFromRun(t *testing.T) {
 // TestRecordReportRoundTrip: ReportOf inverts RecordOf for every outcome
 // a fresh run can journal. The rebuilt report converts back to the
 // exact record (a fabric coordinator's merged report journals what its
-// worker streamed, never "replayed"), renders the same text and JSON,
-// and a failure keeps its classification.
+// worker streamed), renders the same text and JSON, and keeps its
+// outcome; a success comes back Replayed.
 func TestRecordReportRoundTrip(t *testing.T) {
 	task := testTasks()[0]
-	fail := func(err error) engine.Report {
-		return engine.Report{Task: task, Seed: 9, Attempts: 1, Err: err}
+	fail := func(outcome string, attempts int, err error) engine.Report {
+		return engine.Report{Task: task, Seed: 9, Attempts: attempts, Outcome: outcome, Err: err}
 	}
 	cases := map[string]engine.Report{
-		"ok":         {Task: task, Seed: 7, Attempts: 1, Result: escRes{seed: 7}},
-		"retried-ok": {Task: task, Seed: 8, Attempts: 3, Result: escRes{seed: 8}},
-		"nil rows":   {Task: task, Seed: 7, Attempts: 1, Result: nilRowsRes{}},
-		"error":      fail(errors.New("engine: task t0: systematic <failure>")),
-		"timeout":    fail(fmt.Errorf("engine: task t0: %w", context.DeadlineExceeded)),
-		"canceled":   fail(fmt.Errorf("engine: task t0: %w", context.Canceled)),
-		"panic":      {Task: task, Seed: 9, Attempts: 1, Panicked: true, Err: errors.New("engine: task t0 panicked: boom")},
-		"exhausted":  {Task: task, Seed: 9, Attempts: 3, Exhausted: true, Err: fmt.Errorf("engine: task t0: %w", context.DeadlineExceeded)},
-		"skipped":    engine.SkippedBreakerReport(task, 9, ""),
+		"ok":         {Task: task, Seed: 7, Attempts: 1, Outcome: "ok", Result: escRes{seed: 7}},
+		"retried-ok": {Task: task, Seed: 8, Attempts: 3, Outcome: "retried-ok", Result: escRes{seed: 8}},
+		"nil rows":   {Task: task, Seed: 7, Attempts: 1, Outcome: "ok", Result: nilRowsRes{}},
+		"error":      fail("error", 1, errors.New("engine: task t0: systematic <failure>")),
+		"timeout":    fail("timeout", 1, fmt.Errorf("engine: task t0: %w", context.DeadlineExceeded)),
+		"canceled":   fail("canceled", 1, fmt.Errorf("engine: task t0: %w", context.Canceled)),
+		"panic":      fail("panic", 1, errors.New("engine: task t0 panicked: boom")),
+		"exhausted":  fail("exhausted", 3, fmt.Errorf("engine: task t0: %w", context.DeadlineExceeded)),
+		"skipped":    engine.SkippedBreakerReport(task, 9),
 	}
 	for name, rep := range cases {
 		rec := RecordOf(rep)
-		back := ReportOf(task, rec, "bsr-roundtrip")
-		if back.RunID != "bsr-roundtrip" {
-			t.Errorf("%s: rebuilt report run ID = %q", name, back.RunID)
-		}
+		back := ReportOf(task, rec)
 		if got := RecordOf(back); !reflect.DeepEqual(got, rec) {
 			t.Errorf("%s: record does not round-trip:\n got %+v\nwant %+v", name, got, rec)
 		}
@@ -549,14 +546,9 @@ func TestRecordReportRoundTrip(t *testing.T) {
 		if gotTxt != wantTxt || gotJSON != wantJSON {
 			t.Errorf("%s: rebuilt report renders differently:\n%s%s\nwant:\n%s%s", name, gotTxt, gotJSON, wantTxt, wantJSON)
 		}
-		switch {
-		case rep.Err == nil && back.Outcome() != "replayed":
-			t.Errorf("%s: rebuilt success outcome = %q, want replayed", name, back.Outcome())
-		case rep.Err != nil && back.Outcome() != rep.Outcome():
-			t.Errorf("%s: rebuilt failure outcome = %q, want %q", name, back.Outcome(), rep.Outcome())
+		if back.Outcome != rep.Outcome || back.Replayed != (rep.Err == nil) {
+			t.Errorf("%s: rebuilt outcome = %q (replayed %v), want %q (replayed %v)",
+				name, back.Outcome, back.Replayed, rep.Outcome, rep.Err == nil)
 		}
-	}
-	if !errors.Is(ReportOf(task, RecordOf(cases["skipped"]), "").Err, engine.ErrBreakerOpen) {
-		t.Error("rebuilt breaker skip does not carry ErrBreakerOpen")
 	}
 }

@@ -146,8 +146,7 @@ func Load(path string) (h Header, recs []TaskRecord, torn bool, err error) {
 // Append journals one task outcome, fsyncing before it returns so a
 // crash immediately after cannot lose the record.
 func (j *Journal) Append(rec TaskRecord) error {
-	_, err := j.app.Append("task", rec)
-	return err
+	return j.app.Append("task", rec)
 }
 
 // Close closes the journal file.

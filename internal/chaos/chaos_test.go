@@ -123,7 +123,7 @@ func driveEpisodes(inj *Injector, spy *cpu.Context, n int) []uint64 {
 
 func TestInjectorScheduleDeterministic(t *testing.T) {
 	plan := AtIntensity(77, HeavyIntensity)
-	_, inj1, spy1 := chaosTestRig(t, plan)
+	reg1, inj1, spy1 := chaosTestRig(t, plan)
 	_, inj2, spy2 := chaosTestRig(t, plan)
 	a, b := driveEpisodes(inj1, spy1, 400), driveEpisodes(inj2, spy2, 400)
 	for i := range a {
@@ -131,8 +131,8 @@ func TestInjectorScheduleDeterministic(t *testing.T) {
 			t.Fatalf("same plan diverged at observation %d: %d vs %d", i, a[i], b[i])
 		}
 	}
-	if inj1.episode != 400 {
-		t.Errorf("episodes seen = %d, want 400", inj1.episode)
+	if v := reg1.Counter("chaos.episodes").Value(); v != 400 {
+		t.Errorf("episodes seen = %d, want 400", v)
 	}
 	// A reseeded plan yields a different schedule (the seeds here are
 	// fixed, so this is a deterministic assertion, not a probabilistic

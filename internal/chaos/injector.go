@@ -62,7 +62,6 @@ type Injector struct {
 	selfClock int // counter reads per synthetic episode (0: episode-driven)
 	readTick  int
 
-	episode     uint64
 	preemptNow  bool // a preemption fires this episode...
 	preemptPost bool // ...after the victim step rather than before it
 	migrateLeft int
@@ -154,7 +153,6 @@ func (i *Injector) AfterStep() {
 // fault draws are made. Draw order is fixed, so the schedule depends
 // only on the plan and the episode index.
 func (i *Injector) advance() {
-	i.episode++
 	i.ctr.episodes.Inc()
 	if i.migrateLeft > 0 {
 		i.migrateLeft--

@@ -353,16 +353,6 @@ func (f Flags) Overrides(plan *chaos.Plan, tel *telemetry.Set) *experiments.Over
 	return ov
 }
 
-// RetryPolicy resolves -retry into the engine's task-level policy: the
-// same budget applied to tasks whose attempt timed out, with capped
-// simulated backoff recorded in the report. The zero flag yields the zero policy (one attempt).
-func (f Flags) RetryPolicy() engine.RetryPolicy {
-	if f.Retry <= 0 {
-		return engine.RetryPolicy{}
-	}
-	return engine.RetryPolicy{MaxAttempts: f.Retry, Backoff: 100 * time.Millisecond}
-}
-
 // Options tunes session construction per CLI.
 type Options struct {
 	// ForceMetrics keeps the registry on even when no -metrics-out /

@@ -143,7 +143,7 @@ func TestInterruptedSuiteStillFlushesExports(t *testing.T) {
 				Program: "test", ID: rep.Task.ID,
 				Config:   map[string]any{"quick": true},
 				BaseSeed: 1, Seed: rep.Seed,
-				Outcome: rep.Outcome(), Error: errStr,
+				Outcome: rep.Outcome, Error: errStr,
 				WallSeconds:  rep.Wall.Seconds(),
 				MetricsDelta: sess.Deltas.End(rep.Task.ID),
 			})

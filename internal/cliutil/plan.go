@@ -73,15 +73,15 @@ func (p Plan) Identity(f Flags) (runstore.Identity, error) {
 }
 
 // Runner builds the plan's engine runner from the shared flags f: the
-// pool, per-task timeout, task-level retry policy, watchdog and
-// circuit breakers. Callers add the observer hooks.
+// pool, per-task timeout, -retry's attempt budget for timed-out tasks,
+// watchdog and circuit breakers. Callers add the observer hooks.
 func (p Plan) Runner(f Flags) *engine.Runner {
 	return &engine.Runner{
-		Pool:     p.Pool,
-		Timeout:  p.Timeout,
-		Retry:    f.RetryPolicy(),
-		Watchdog: f.Watchdog,
-		Breakers: f.Breakers(),
+		Pool:        p.Pool,
+		Timeout:     p.Timeout,
+		MaxAttempts: f.Retry,
+		Watchdog:    f.Watchdog,
+		Breakers:    f.Breakers(),
 	}
 }
 
@@ -96,6 +96,16 @@ func (p Plan) settled(rep engine.Report) engine.Report {
 	return rep
 }
 
+// observed is the outcome observers (the ledger, /statusz, progress
+// logs) show for a settled task: "replayed" for a report rebuilt from
+// a journal or a fabric worker's record, its stored Outcome otherwise.
+func observed(rep engine.Report) string {
+	if rep.Replayed {
+		return "replayed"
+	}
+	return rep.Outcome
+}
+
 // Record renders one settled task as its branchscope.ledger/v1 record
 // with the task's metrics delta (nil when none was attributed).
 func (p Plan) Record(rep engine.Report, delta *telemetry.Snapshot) obs.LedgerRecord {
@@ -106,7 +116,7 @@ func (p Plan) Record(rep engine.Report, delta *telemetry.Snapshot) obs.LedgerRec
 		Config:   p.LedgerConfig,
 		BaseSeed: p.Seed,
 		Seed:     rep.Seed,
-		Outcome:  rep.Outcome(),
+		Outcome:  observed(rep),
 		// WallSeconds is the one nondeterministic ledger field.
 		WallSeconds:  rep.Wall.Seconds(),
 		MetricsDelta: delta,
@@ -134,7 +144,7 @@ func (p Plan) Settle(arc *runstore.Archiver, reports []engine.Report, breakers *
 	for i, rep := range reports {
 		rep.Wall = 0
 		zeroed[i] = rep
-		o := runstore.TaskOutcome{ID: rep.Task.ID, Seed: rep.Seed, Outcome: rep.Outcome(), Attempts: rep.Attempts}
+		o := runstore.TaskOutcome{ID: rep.Task.ID, Seed: rep.Seed, Outcome: rep.Outcome, Attempts: rep.Attempts}
 		if rep.Err != nil {
 			o.Error = rep.Err.Error()
 		}
@@ -262,7 +272,6 @@ func (s *Session) Execute(ctx context.Context, p Plan) ([]engine.Report, error) 
 			"replayed", len(camp.Replayed), "crash_after", crashAfter)
 	}
 	s.SetRunID(runID)
-	runner.RunID = runID
 	arc := s.flags.Archiver(identity)
 	s.SetArchiver(arc)
 	for kind, path := range p.Files {
@@ -283,7 +292,7 @@ func (s *Session) Execute(ctx context.Context, p Plan) ([]engine.Report, error) 
 			Logf: s.logf,
 		}).Run
 	}
-	reports, journalErr := camp.Run(ctx, tasks, runID, runner.OnDone, exec)
+	reports, journalErr := camp.Run(ctx, tasks, runner.OnDone, exec)
 	for i := range reports {
 		reports[i] = p.settled(reports[i])
 		if camp != nil || len(urls) > 0 {
@@ -325,7 +334,8 @@ func (s *Session) runner(p Plan, tracker *obs.Tracker) *engine.Runner {
 	r.OnDone = func(rep engine.Report) {
 		rep = p.settled(rep)
 		n := done.Add(1)
-		tracker.End(rep.Task.ID, rep.Wall, rep.Outcome(), rep.Err)
+		outcome := observed(rep)
+		tracker.End(rep.Task.ID, rep.Wall, outcome, rep.Err)
 		delta := s.Deltas.End(rep.Task.ID)
 		if !p.Root {
 			// Set after the delta closes: wall time is nondeterministic
@@ -333,7 +343,7 @@ func (s *Session) runner(p Plan, tracker *obs.Tracker) *engine.Runner {
 			s.Metrics.Gauge(p.Program + "." + rep.Task.ID + ".wall_seconds").Set(rep.Wall.Seconds())
 		}
 		attrs := []any{
-			"id", rep.Task.ID, "seed", rep.Seed, "outcome", rep.Outcome(),
+			"id", rep.Task.ID, "seed", rep.Seed, "outcome", outcome,
 			"wall", rep.Wall.Round(time.Millisecond).String(),
 			"n", n, "total", len(p.Tasks),
 		}

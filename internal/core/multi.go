@@ -112,7 +112,6 @@ func (c MultiConfig) withDefaults() MultiConfig {
 // MultiSession is a ready multi-target attack instance.
 type MultiSession struct {
 	spy     *cpu.Context
-	cfg     MultiConfig
 	block   *Block
 	targets []MultiTarget
 }
@@ -289,7 +288,7 @@ func NewMultiSession(spy *cpu.Context, r *rng.Source, cfg MultiConfig) (*MultiSe
 		if !ok {
 			continue
 		}
-		ms := &MultiSession{spy: spy, cfg: cfg, block: &s.block, targets: targets}
+		ms := &MultiSession{spy: spy, block: &s.block, targets: targets}
 		// Cheap filter, then a rigorous confirmation of the survivor.
 		if ms.selfVerify(r, 6, 5) && ms.selfVerify(r, 30, 27) {
 			ms.block, ms.targets = s.block.clone(), slices.Clone(targets)

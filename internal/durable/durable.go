@@ -175,10 +175,9 @@ func appendNewline(path string) error {
 // without its newline, and a later record appended behind it would
 // join that line — reported written, then dropped or refused on load.
 type Appender struct {
-	mu       sync.Mutex
-	f        *os.File
-	appended int
-	err      error
+	mu  sync.Mutex
+	f   *os.File
+	err error
 }
 
 // OpenAppender opens an existing line file for appending.
@@ -199,30 +198,26 @@ func Create(path string, content []byte) (*Appender, error) {
 	return OpenAppender(path)
 }
 
-// Append frames payload under kind, writes it and fsyncs. It returns
-// how many records this Appender has appended — a campaign's crash
-// point counts fresh outcomes with it.
-func (a *Appender) Append(kind string, payload any) (int, error) {
+// Append frames payload under kind, writes it and fsyncs.
+func (a *Appender) Append(kind string, payload any) error {
 	if a == nil {
-		return 0, nil
+		return nil
 	}
 	line, err := Frame(kind, payload)
 	if err != nil {
-		return 0, fmt.Errorf("durable: encoding %s record: %w", kind, err)
+		return fmt.Errorf("durable: encoding %s record: %w", kind, err)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.err != nil {
-		return a.appended, a.err
+		return a.err
 	}
 	if _, err := a.f.Write(line); err != nil {
 		a.err = fmt.Errorf("durable: appending %s record: %w", kind, err)
 	} else if err := a.f.Sync(); err != nil {
 		a.err = fmt.Errorf("durable: syncing %s: %w", a.f.Name(), err)
-	} else {
-		a.appended++
 	}
-	return a.appended, a.err
+	return a.err
 }
 
 // Close closes the file. Nil-safe.

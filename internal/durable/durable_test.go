@@ -78,7 +78,7 @@ func appendRecord(t *testing.T, path string, r rec, framed bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := app.Append("rec", r); err != nil {
+		if err := app.Append("rec", r); err != nil {
 			t.Fatal(err)
 		}
 		if err := app.Close(); err != nil {

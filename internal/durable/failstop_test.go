@@ -48,7 +48,7 @@ func appendPastFileSizeLimit(t *testing.T, path string) {
 		t.Fatal(err)
 	}
 	defer app.Close()
-	if _, err := app.Append("rec", "a"); err != nil {
+	if err := app.Append("rec", "a"); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(path)
@@ -67,14 +67,14 @@ func appendPastFileSizeLimit(t *testing.T, path string) {
 	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &tight); err != nil {
 		t.Fatal(err)
 	}
-	_, err = app.Append("rec", strings.Repeat("b", 64))
+	err = app.Append("rec", strings.Repeat("b", 64))
 	if rerr := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lim); rerr != nil {
 		t.Fatal(rerr)
 	}
 	if err == nil {
 		t.Fatal("append past the file size limit succeeded")
 	}
-	if _, err := app.Append("rec", "c"); err == nil {
+	if err := app.Append("rec", "c"); err == nil {
 		t.Fatal("append after a failed write succeeded; its record joined the partial line")
 	}
 }

@@ -86,7 +86,7 @@ func (b *BreakerSet) Observe(family, outcome string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch outcome {
-	case "ok", "retried-ok", "replayed":
+	case "ok", "retried-ok":
 		if st := b.fams[family]; st != nil {
 			st.consecutive = 0
 		}

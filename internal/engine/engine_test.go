@@ -230,7 +230,7 @@ func TestRunnerPanicIsolation(t *testing.T) {
 		t.Error("healthy tasks affected by a panicking sibling")
 	}
 	bad := reports[1]
-	if bad.Err == nil || !bad.Panicked {
+	if bad.Err == nil || bad.Outcome != "panic" {
 		t.Fatalf("panic not reported: %+v", bad)
 	}
 	if !strings.Contains(bad.Err.Error(), "deliberate test panic") {
@@ -408,7 +408,7 @@ func TestRunSuiteCanceledTasksStillReachOnDone(t *testing.T) {
 	outcomes := map[string]string{}
 	r := &Runner{OnDone: func(rep Report) {
 		mu.Lock()
-		outcomes[rep.Task.ID] = rep.Outcome()
+		outcomes[rep.Task.ID] = rep.Outcome
 		mu.Unlock()
 	}}
 	r.RunSuite(ctx, []Task{okTask("a"), okTask("b")}, Config{Seed: 1})
@@ -421,23 +421,16 @@ func TestRunSuiteCanceledTasksStillReachOnDone(t *testing.T) {
 
 func TestReportOutcome(t *testing.T) {
 	cases := []struct {
-		rep  Report
+		err  error
 		want string
 	}{
-		{Report{}, "ok"},
-		{Report{Err: errors.New("boom")}, "error"},
-		{Report{Err: fmt.Errorf("task: %w", context.Canceled)}, "canceled"},
-		{Report{Err: fmt.Errorf("task: %w", context.DeadlineExceeded)}, "timeout"},
-		{Report{Err: errors.New("panicked"), Panicked: true}, "panic"},
-		{Report{Attempts: 3}, "retried-ok"},
-		{Report{Err: errors.New("boom"), Attempts: 3, Exhausted: true}, "exhausted"},
-		// A panic or cancellation trumps the retry bookkeeping.
-		{Report{Err: errors.New("panicked"), Panicked: true, Attempts: 2, Exhausted: true}, "panic"},
-		{Report{Err: fmt.Errorf("task: %w", context.Canceled), Attempts: 2}, "canceled"},
+		{errors.New("boom"), "error"},
+		{fmt.Errorf("task: %w", context.Canceled), "canceled"},
+		{fmt.Errorf("task: %w", context.DeadlineExceeded), "timeout"},
 	}
 	for _, c := range cases {
-		if got := c.rep.Outcome(); got != c.want {
-			t.Errorf("Outcome(%+v) = %q, want %q", c.rep, got, c.want)
+		if got := FailureOutcome(c.err); got != c.want {
+			t.Errorf("FailureOutcome(%v) = %q, want %q", c.err, got, c.want)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func TestMapMidRunCancellation(t *testing.T) {
 		if ran[i] {
 			startedCount++
 		}
-		if got := rep.Outcome(); got != "canceled" {
+		if got := rep.Outcome; got != "canceled" {
 			t.Errorf("task %d: outcome %q, want canceled (err %v)", i, got, rep.Err)
 		}
 		if !errors.Is(rep.Err, context.Canceled) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 // timeoutErr is what an attempt that hit its per-attempt deadline
@@ -28,13 +27,13 @@ func flakyTask(id string, succeedOn int, failErr error, seeds *[]uint64) Task {
 
 func TestRetryTransientFailureRecovers(t *testing.T) {
 	var seeds []uint64
-	r := &Runner{Retry: RetryPolicy{MaxAttempts: 3, Backoff: time.Second}}
+	r := &Runner{MaxAttempts: 3}
 	rep := r.RunTask(context.Background(), flakyTask("flaky", 2, timeoutErr, &seeds), Config{Seed: 9})
 	if rep.Err != nil {
 		t.Fatalf("retry did not recover: %v", rep.Err)
 	}
-	if rep.Attempts != 2 || rep.Outcome() != "retried-ok" {
-		t.Errorf("Attempts=%d Outcome=%q, want 2/retried-ok", rep.Attempts, rep.Outcome())
+	if rep.Attempts != 2 || rep.Outcome != "retried-ok" {
+		t.Errorf("Attempts=%d Outcome=%q, want 2/retried-ok", rep.Attempts, rep.Outcome)
 	}
 	taskSeed := DeriveSeed(9, "flaky")
 	want := []uint64{taskSeed, DeriveSeed(taskSeed, "attempt", "2")}
@@ -44,27 +43,17 @@ func TestRetryTransientFailureRecovers(t *testing.T) {
 	if rep.Seed != want[1] {
 		t.Errorf("report seed %d does not name the successful attempt's seed %d", rep.Seed, want[1])
 	}
-	// Backoff is simulated: recorded, not slept.
-	if rep.Backoff != time.Second {
-		t.Errorf("Backoff = %v, want 1s recorded", rep.Backoff)
-	}
-	if rep.Wall > 500*time.Millisecond {
-		t.Errorf("wall %v: simulated backoff was actually slept", rep.Wall)
-	}
 }
 
 func TestRetryBudgetExhausted(t *testing.T) {
 	var seeds []uint64
-	r := &Runner{Retry: RetryPolicy{MaxAttempts: 3, Backoff: 10 * time.Millisecond}}
+	r := &Runner{MaxAttempts: 3}
 	rep := r.RunTask(context.Background(), flakyTask("doomed", 99, timeoutErr, &seeds), Config{Seed: 9})
 	if rep.Err == nil {
 		t.Fatal("exhausted task reported success")
 	}
-	if rep.Attempts != 3 || !rep.Exhausted || rep.Outcome() != "exhausted" {
-		t.Errorf("Attempts=%d Exhausted=%v Outcome=%q, want 3/true/exhausted", rep.Attempts, rep.Exhausted, rep.Outcome())
-	}
-	if rep.Backoff != 30*time.Millisecond { // 10ms + 20ms, doubling
-		t.Errorf("accumulated Backoff = %v, want 30ms", rep.Backoff)
+	if rep.Attempts != 3 || rep.Outcome != "exhausted" {
+		t.Errorf("Attempts=%d Outcome=%q, want 3/exhausted", rep.Attempts, rep.Outcome)
 	}
 }
 
@@ -78,15 +67,12 @@ func TestRetryPermanentFailuresNotRetried(t *testing.T) {
 		{"canceled", fmt.Errorf("task: %w", context.Canceled), "canceled"},
 	} {
 		var seeds []uint64
-		r := &Runner{Retry: RetryPolicy{MaxAttempts: 5}}
+		r := &Runner{MaxAttempts: 5}
 		rep := r.RunTask(context.Background(), flakyTask(c.name, 99, c.err, &seeds), Config{Seed: 1})
 		if rep.Attempts != 1 {
 			t.Errorf("%s: %d attempts, want 1 (not retryable)", c.name, rep.Attempts)
 		}
-		if rep.Exhausted {
-			t.Errorf("%s: Exhausted without spending the budget", c.name)
-		}
-		if got := rep.Outcome(); got != c.outcome {
+		if got := rep.Outcome; got != c.outcome {
 			t.Errorf("%s: Outcome = %q, want %q", c.name, got, c.outcome)
 		}
 	}
@@ -94,7 +80,7 @@ func TestRetryPermanentFailuresNotRetried(t *testing.T) {
 
 func TestRetryTimeoutErrorIsTransient(t *testing.T) {
 	var seeds []uint64
-	r := &Runner{Retry: RetryPolicy{MaxAttempts: 2}}
+	r := &Runner{MaxAttempts: 2}
 	rep := r.RunTask(context.Background(), flakyTask("slow", 2, timeoutErr, &seeds), Config{Seed: 1})
 	if rep.Err != nil || rep.Attempts != 2 {
 		t.Errorf("per-attempt timeout not retried: attempts=%d err=%v", rep.Attempts, rep.Err)
@@ -105,31 +91,14 @@ func TestRetryZeroPolicyIsSingleAttempt(t *testing.T) {
 	var seeds []uint64
 	r := &Runner{}
 	rep := r.RunTask(context.Background(), flakyTask("once", 99, timeoutErr, &seeds), Config{Seed: 4})
-	if rep.Attempts != 1 || rep.Exhausted {
-		t.Errorf("zero policy: attempts=%d exhausted=%v, want one attempt, not exhausted", rep.Attempts, rep.Exhausted)
+	if rep.Attempts != 1 {
+		t.Errorf("zero policy: attempts=%d, want one attempt", rep.Attempts)
 	}
-	if rep.Outcome() != "timeout" {
-		t.Errorf("zero policy Outcome = %q, want timeout (a 1-budget cannot be exhausted)", rep.Outcome())
+	if rep.Outcome != "timeout" {
+		t.Errorf("zero policy Outcome = %q, want timeout (a 1-budget cannot be exhausted)", rep.Outcome)
 	}
 	if rep.Seed != DeriveSeed(4, "once") {
 		t.Error("zero policy changed the task seed")
-	}
-}
-
-func TestBackoffDoublesAndCaps(t *testing.T) {
-	p := RetryPolicy{Backoff: 100 * time.Millisecond}
-	for attempt, want := range map[int]time.Duration{
-		1: 100 * time.Millisecond,
-		2: 200 * time.Millisecond,
-		5: 1600 * time.Millisecond, // 16x the base: the cap
-		9: 1600 * time.Millisecond, // capped from 25.6s
-	} {
-		if got := p.backoffFor(attempt); got != want {
-			t.Errorf("backoffFor(%d) = %v, want %v", attempt, got, want)
-		}
-	}
-	if got := (RetryPolicy{}).backoffFor(3); got != 0 {
-		t.Errorf("zero Backoff yields %v", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 )
 
@@ -48,11 +47,10 @@ func (t Task) BreakerFamily() string { return t.family() }
 // short-circuited by an open breaker. Exported because the fabric
 // coordinator settles admission-refused tasks without a runner, and
 // the report bytes must match a single-process run's exactly.
-func SkippedBreakerReport(t Task, seed uint64, runID string) Report {
+func SkippedBreakerReport(t Task, seed uint64) Report {
 	return Report{
-		Task: t, Seed: seed, RunID: runID,
-		SkippedBreaker: true,
-		Err:            fmt.Errorf("engine: task %s: %w (family %q)", t.ID, ErrBreakerOpen, t.family()),
+		Task: t, Seed: seed, Outcome: "skipped-open-breaker",
+		Err: fmt.Errorf("engine: task %s: %w (family %q)", t.ID, ErrBreakerOpen, t.family()),
 	}
 }
 
@@ -69,34 +67,21 @@ type Report struct {
 	// Wall is the task's wall-clock duration — the one deliberately
 	// nondeterministic field (excluded from deterministic exports).
 	Wall time.Duration
-	// Panicked marks Err as a recovered panic.
-	Panicked bool
-	// Attempts is how many times the task ran (1 without a retry
-	// policy, or when the first attempt settled it).
+	// Attempts is how many times the task ran (1 without retries, or
+	// when the first attempt settled it).
 	Attempts int
-	// Backoff is the total simulated backoff delay charged between
-	// attempts.
-	Backoff time.Duration
-	// Exhausted marks a task that consumed the full retry budget: every
-	// attempt up to MaxAttempts timed out.
-	Exhausted bool
-	// Stuck marks a task that exceeded the runner's soft Watchdog
-	// deadline while running. Unlike a timeout it is advisory: the task
-	// kept running (and may well have finished), so Stuck can be true on
-	// a successful report. Excluded from deterministic exports.
-	Stuck bool
-	// SkippedBreaker marks a task that never ran because its family's
-	// circuit breaker was open (see BreakerSet); Err carries
-	// ErrBreakerOpen.
-	SkippedBreaker bool
-	// Replayed marks a report reconstructed from a campaign journal
-	// instead of a fresh run (see internal/campaign): Result renders the
-	// checkpointed bytes and Wall is zero.
+	// Outcome is how the task settled, decided once where it settles:
+	// "ok", "retried-ok" (success that needed more than one attempt),
+	// "skipped-open-breaker" (never ran: the family's circuit breaker
+	// was open), "panic", "exhausted" (every attempt of the whole retry
+	// budget timed out), or a FailureOutcome. Journal records, the
+	// fabric wire and run manifests carry it verbatim.
+	Outcome string
+	// Replayed marks a report rebuilt from a journal or fabric record
+	// instead of a fresh run (see internal/campaign): Result renders
+	// the recorded bytes and Wall is zero. Observers show such a task
+	// as "replayed"; its Outcome is still the recorded one.
 	Replayed bool
-	// RunID is the run's causal identity (see internal/runstore),
-	// stamped from Runner.RunID so every observer hook can join the
-	// report to its archive. Empty when the runner has no identity.
-	RunID string
 }
 
 // Runner executes tasks under the engine's scheduling policy.
@@ -118,15 +103,15 @@ type Runner struct {
 	// (completion order, concurrently under parallel execution) —
 	// progress reporting, not part of the deterministic output.
 	OnDone func(Report)
-	// Retry re-runs tasks that hit the per-attempt Timeout with fresh
-	// derived seeds and capped backoff. The zero policy disables
-	// retries.
-	Retry RetryPolicy
+	// MaxAttempts bounds the total runs of a task whose attempts keep
+	// hitting the per-attempt Timeout (see retryable); values <= 1
+	// disable retries.
+	MaxAttempts int
 	// Watchdog is the soft per-task deadline: a task still running past
-	// it is marked Stuck and reported through OnStuck, but — unlike
-	// Timeout — keeps running. 0 disables the watchdog. With retries the
-	// deadline covers the whole attempt loop, so a task stuck in retry
-	// churn is flagged too.
+	// it is reported through OnStuck, but — unlike Timeout — keeps
+	// running. 0 disables the watchdog. With retries the deadline covers
+	// the whole attempt loop, so a task stuck in retry churn is flagged
+	// too.
 	Watchdog time.Duration
 	// OnStuck, when non-nil, observes each task the moment it exceeds
 	// the Watchdog deadline (from the watchdog's timer goroutine) —
@@ -136,24 +121,21 @@ type Runner struct {
 	// failing permanently (see BreakerSet). nil disables circuit
 	// breaking.
 	Breakers *BreakerSet
-	// RunID, when set, is stamped into every Report so downstream
-	// observers (ledger, archive) can join outcomes to a run identity.
-	RunID string
 }
 
 // RunTask executes one task with the runner's timeout, panic recovery,
-// per-task seed derivation, and — under a retry policy — re-runs of
-// timed-out attempts on per-attempt derived seeds. The timeout applies
-// per attempt; a retried task may consume up to MaxAttempts × Timeout.
+// per-task seed derivation, and — under MaxAttempts — re-runs of
+// timed-out attempts on per-attempt derived seeds, and decides the
+// report's Outcome. The timeout applies per attempt; a retried task may
+// consume up to MaxAttempts × Timeout.
 func (r *Runner) RunTask(ctx context.Context, t Task, cfg Config) Report {
 	ctx = WithPool(ctx, r.Pool)
 	taskSeed := DeriveSeed(cfg.Seed, t.ID)
-	rep := Report{Task: t, Seed: taskSeed, RunID: r.RunID}
 
 	if !r.Breakers.Admit(t.family()) {
 		// The family's breaker is open: don't even start the task (no
 		// OnStart), but observers must still see it finish.
-		rep = SkippedBreakerReport(t, taskSeed, r.RunID)
+		rep := SkippedBreakerReport(t, taskSeed)
 		if r.OnDone != nil {
 			r.OnDone(rep)
 		}
@@ -163,42 +145,41 @@ func (r *Runner) RunTask(ctx context.Context, t Task, cfg Config) Report {
 	if r.OnStart != nil {
 		r.OnStart(t, taskSeed)
 	}
-	var stuck atomic.Bool
-	if r.Watchdog > 0 {
-		w := time.AfterFunc(r.Watchdog, func() {
-			stuck.Store(true)
-			if r.OnStuck != nil {
-				r.OnStuck(t, taskSeed)
-			}
-		})
+	if r.Watchdog > 0 && r.OnStuck != nil {
+		w := time.AfterFunc(r.Watchdog, func() { r.OnStuck(t, taskSeed) })
 		defer w.Stop()
 	}
+	rep := Report{Task: t}
 	start := time.Now()
-	for attempt := 1; ; attempt++ {
+	for attempt := 1; rep.Outcome == ""; attempt++ {
 		cfg.Seed = attemptSeed(taskSeed, attempt)
 		rep.Seed = cfg.Seed
 		rep.Attempts = attempt
-		rep.Result, rep.Err, rep.Panicked = r.attempt(ctx, t, cfg)
-		if rep.Err == nil || rep.Panicked {
-			break
+		var panicked bool
+		rep.Result, rep.Err, panicked = r.attempt(ctx, t, cfg)
+		retry := ctx.Err() == nil && retryable(rep.Err)
+		switch {
+		case rep.Err == nil && attempt > 1:
+			rep.Outcome = "retried-ok"
+		case rep.Err == nil:
+			rep.Outcome = "ok"
+		case panicked:
+			rep.Outcome = "panic"
+		case retry && attempt < r.MaxAttempts:
+			// Another attempt, on the next derived seed.
+		case retry && attempt > 1:
+			// A timeout that survived the whole budget — only a real
+			// budget can be exhausted.
+			rep.Outcome = "exhausted"
+		default:
+			rep.Outcome = FailureOutcome(rep.Err)
 		}
-		if ctx.Err() != nil || !retryable(rep.Err) {
-			break
-		}
-		if attempt >= r.Retry.max() {
-			// A timeout that survived the whole budget — only a
-			// real budget can be exhausted.
-			rep.Exhausted = r.Retry.max() > 1
-			break
-		}
-		rep.Backoff += r.Retry.backoffFor(attempt)
 	}
 	rep.Wall = time.Since(start)
-	rep.Stuck = stuck.Load()
 	if rep.Err != nil {
 		rep.Result = nil
 	}
-	r.Breakers.Observe(t.family(), rep.Outcome())
+	r.Breakers.Observe(t.family(), rep.Outcome)
 	if r.OnDone != nil {
 		r.OnDone(rep)
 	}
@@ -260,10 +241,10 @@ func (r *Runner) RunSuite(ctx context.Context, tasks []Task, cfg Config) []Repor
 				err = context.Canceled
 			}
 			reports[i] = Report{
-				Task:  tasks[i],
-				Seed:  DeriveSeed(cfg.Seed, tasks[i].ID),
-				Err:   fmt.Errorf("engine: task %s: %w", tasks[i].ID, err),
-				RunID: r.RunID,
+				Task:    tasks[i],
+				Seed:    DeriveSeed(cfg.Seed, tasks[i].ID),
+				Err:     fmt.Errorf("engine: task %s: %w", tasks[i].ID, err),
+				Outcome: FailureOutcome(err),
 			}
 			// Tasks skipped by cancellation never reach RunTask, but
 			// observers (progress, ledger) must still see them finish.
@@ -275,37 +256,21 @@ func (r *Runner) RunSuite(ctx context.Context, tasks []Task, cfg Config) []Repor
 	return reports
 }
 
-// Outcome classifies the report for ledgers and structured logs:
-// "ok", "retried-ok" (success that needed more than one attempt),
-// "replayed" (reconstructed from a campaign journal, not re-run),
-// "skipped-open-breaker" (never ran: the family's circuit breaker was
-// open), "panic", "exhausted" (every attempt of the whole retry budget
-// timed out), "timeout", "canceled" or "error". Timeout and
-// cancellation are deliberately distinct outcomes: a timeout is the
-// task's own budget expiring (actionable per task), a cancellation is
-// the operator or a parent tearing the suite down (not the task's
-// fault).
-func (r Report) Outcome() string {
+// FailureOutcome classifies a failure that is neither a panic nor an
+// exhausted retry budget: "timeout" when err wraps
+// context.DeadlineExceeded, "canceled" when it wraps context.Canceled,
+// "error" otherwise. Timeout and cancellation are deliberately
+// distinct: a timeout is the task's own budget expiring (actionable per
+// task), a cancellation is the operator or a parent tearing the suite
+// down (not the task's fault).
+func FailureOutcome(err error) string {
 	switch {
-	case r.SkippedBreaker:
-		return "skipped-open-breaker"
-	case r.Replayed:
-		return "replayed"
-	case r.Err == nil && r.Attempts > 1:
-		return "retried-ok"
-	case r.Err == nil:
-		return "ok"
-	case r.Panicked:
-		return "panic"
-	case r.Exhausted:
-		return "exhausted"
-	case errors.Is(r.Err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
 		return "timeout"
-	case errors.Is(r.Err, context.Canceled):
+	case errors.Is(err, context.Canceled):
 		return "canceled"
-	default:
-		return "error"
 	}
+	return "error"
 }
 
 // Failed counts reports with errors.

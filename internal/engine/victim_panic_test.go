@@ -30,7 +30,7 @@ func TestRunnerIsolatesVictimPanic(t *testing.T) {
 	}
 	r := &Runner{}
 	rep := r.RunTask(context.Background(), victim, Config{Seed: 1})
-	if rep.Err == nil || !rep.Panicked {
+	if rep.Err == nil || rep.Outcome != "panic" {
 		t.Fatalf("victim panic not reported: %+v", rep)
 	}
 	if !strings.Contains(rep.Err.Error(), "deliberate victim panic") {

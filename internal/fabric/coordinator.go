@@ -85,7 +85,8 @@ type Coordinator struct {
 	BaseSeed uint64
 	Quick    bool
 	Config   map[string]any
-	// RunID is the run's causal identity, stamped into merged reports.
+	// RunID is the run's causal identity, sent in every assignment for
+	// the worker's log.
 	RunID string
 
 	// Lease bounds worker silence (0 = DefaultLease). Heartbeats and
@@ -278,7 +279,7 @@ func (c *Coordinator) take() []*taskState {
 			st.admitted = true
 			if !c.Breakers.Admit(st.task.BreakerFamily()) {
 				st.settled = true
-				st.rep = engine.SkippedBreakerReport(st.task, engine.DeriveSeed(c.BaseSeed, id), c.RunID)
+				st.rep = engine.SkippedBreakerReport(st.task, engine.DeriveSeed(c.BaseSeed, id))
 				refused = append(refused, st)
 				continue
 			}
@@ -388,13 +389,14 @@ func (c *Coordinator) requeue(batch []*taskState, dispatchErr error) int {
 		st.lastErr = dispatchErr
 		if st.attempts >= c.dispatchBudget() && st.copies == 0 {
 			st.settled = true
+			err := fmt.Errorf("fabric: task %s: no worker completed it after %d dispatch attempts: %w",
+				st.task.ID, st.attempts, st.lastErr)
 			st.rep = engine.Report{
 				Task:     st.task,
 				Seed:     engine.DeriveSeed(c.BaseSeed, st.task.ID),
 				Attempts: st.attempts,
-				RunID:    c.RunID,
-				Err: fmt.Errorf("fabric: task %s: no worker completed it after %d dispatch attempts: %w",
-					st.task.ID, st.attempts, st.lastErr),
+				Err:      err,
+				Outcome:  engine.FailureOutcome(err),
 			}
 			exhausted = append(exhausted, st)
 			continue
@@ -411,7 +413,7 @@ func (c *Coordinator) requeue(batch []*taskState, dispatchErr error) int {
 		c.logf("%s", line)
 	}
 	for _, st := range exhausted {
-		c.Breakers.Observe(st.task.BreakerFamily(), st.rep.Outcome())
+		c.Breakers.Observe(st.task.BreakerFamily(), st.rep.Outcome)
 		c.onDone(st.rep)
 	}
 	return requeued
@@ -523,7 +525,7 @@ func (c *Coordinator) settle(rec campaign.TaskRecord) {
 		return
 	}
 	st.settled = true
-	st.rep = campaign.ReportOf(st.task, rec, c.RunID)
+	st.rep = campaign.ReportOf(st.task, rec)
 	c.mu.Unlock()
 
 	c.Breakers.Observe(st.task.BreakerFamily(), rec.Outcome)

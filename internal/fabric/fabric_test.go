@@ -57,6 +57,30 @@ func okTask(id string, delay time.Duration) engine.Task {
 	}
 }
 
+// retriedTask times out on its first attempt and succeeds on its
+// second, which it tells apart by the attempt's seed: only the first
+// runs on the task's standard derived seed. It needs a runner with a
+// Timeout and room for two attempts (retryRunner).
+func retriedTask(id string) engine.Task {
+	return engine.Task{
+		ID: id, Artifact: "test artifact", Description: "retried test task",
+		Run: func(ctx context.Context, cfg engine.Config) (engine.Result, error) {
+			if cfg.Seed == engine.DeriveSeed(testSeed, id) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			return testResult{id: id, seed: cfg.Seed}, nil
+		},
+	}
+}
+
+// retryRunner times an attempt out after half a second and runs a task
+// at most twice: retriedTask settles "retried-ok" under it, while
+// suite's tasks (the slowest takes 300 ms) settle on their first.
+func retryRunner() *engine.Runner {
+	return &engine.Runner{Timeout: 500 * time.Millisecond, MaxAttempts: 2}
+}
+
 // failTask fails permanently with a deterministic error.
 func failTask(id, family string) engine.Task {
 	return engine.Task{
@@ -133,7 +157,7 @@ func newCoordinator(urls []string, runID string) *Coordinator {
 		Config:        map[string]any{"knob": "v"},
 		RunID:         runID,
 		Lease:         2 * time.Second,
-		Local:         campaign.Local(&engine.Runner{RunID: runID}, engine.Config{Seed: testSeed}),
+		Local:         campaign.Local(&engine.Runner{}, engine.Config{Seed: testSeed}),
 		ProbeAttempts: 1,
 		ProbeBackoff:  10 * time.Millisecond,
 	}
@@ -171,7 +195,7 @@ func render(t *testing.T, reports []engine.Report, runID string, ids []string) (
 	}
 	outs := make([]runstore.TaskOutcome, 0, len(reports))
 	for _, rep := range reports {
-		o := runstore.TaskOutcome{ID: rep.Task.ID, Seed: rep.Seed, Outcome: rep.Outcome(), Attempts: rep.Attempts}
+		o := runstore.TaskOutcome{ID: rep.Task.ID, Seed: rep.Seed, Outcome: rep.Outcome, Attempts: rep.Attempts}
 		if rep.Err != nil {
 			o.Error = rep.Err.Error()
 		}
@@ -189,7 +213,7 @@ func render(t *testing.T, reports []engine.Report, runID string, ids []string) (
 // every fabric configuration must reproduce.
 func oracle(t *testing.T, tasks []engine.Task, runID string) (string, string, string) {
 	t.Helper()
-	r := &engine.Runner{RunID: runID}
+	r := &engine.Runner{}
 	reports := r.RunSuite(context.Background(), tasks, engine.Config{Seed: testSeed})
 	return render(t, reports, runID, taskIDs(tasks))
 }
@@ -210,21 +234,29 @@ func suite(n int) []engine.Task {
 
 // TestMergedRunByteIdentical is the tentpole contract: the merged text
 // report, JSON export and run manifest are byte-identical to a
-// single-process run at worker counts 1 and 4.
+// single-process run at worker counts 1 and 4, a retried task's
+// "retried-ok" included.
 func TestMergedRunByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			tasks := suite(8)
-			wantText, wantJSON, wantMan := oracle(t, tasks, "bsr-test")
+			tasks := append(suite(8), retriedTask("retried"))
+			// The oracle, with the workers' retry budget.
+			reports := retryRunner().RunSuite(context.Background(), tasks, engine.Config{Seed: testSeed})
+			wantText, wantJSON, wantMan := render(t, reports, "bsr-test", taskIDs(tasks))
+			if !strings.Contains(wantMan, `"retried-ok": 1`) {
+				t.Fatalf("oracle manifest does not count the retried task:\n%s", wantMan)
+			}
 			urls := make([]string, workers)
 			for i := range urls {
-				urls[i] = newTestWorker(t, tasks).srv.URL
+				tw := newTestWorker(t, tasks)
+				tw.wk.Runner = retryRunner()
+				urls[i] = tw.srv.URL
 			}
 			var lc logCapture
 			coord := newCoordinator(urls, "bsr-test")
 			coord.Logf = lc.logf
 			coord.OnDegrade = func(reason string) { t.Errorf("unexpected degradation: %s", reason) }
-			reports := coord.Run(context.Background(), tasks, nil)
+			reports = coord.Run(context.Background(), tasks, nil)
 			gotText, gotJSON, gotMan := render(t, reports, "bsr-test", taskIDs(tasks))
 			if gotText != wantText {
 				t.Errorf("merged text report differs from single-process run:\n--- got ---\n%s\n--- want ---\n%s", gotText, wantText)
@@ -376,7 +408,7 @@ func TestTakeRefusesTrippedFamily(t *testing.T) {
 	if !st.settled {
 		t.Fatal("bad2 not settled by breaker refusal")
 	}
-	if got := st.rep.Outcome(); got != "skipped-open-breaker" {
+	if got := st.rep.Outcome; got != "skipped-open-breaker" {
 		t.Errorf("bad2 outcome = %q, want skipped-open-breaker", got)
 	}
 	if !errors.Is(st.rep.Err, engine.ErrBreakerOpen) {
@@ -415,7 +447,7 @@ func TestBreakerPropagation(t *testing.T) {
 	coord := newCoordinator([]string{victim.srv.URL}, "bsr-test")
 	coord.Breakers = engine.NewBreakerSet(1)
 	// One central set, shared with degraded-local execution.
-	coord.Local = campaign.Local(&engine.Runner{RunID: "bsr-test", Breakers: coord.Breakers}, engine.Config{Seed: testSeed})
+	coord.Local = campaign.Local(&engine.Runner{Breakers: coord.Breakers}, engine.Config{Seed: testSeed})
 	coord.StealAfter = time.Minute
 	coord.WorkerBudget = 1
 	reports := coord.Run(context.Background(), tasks, nil)
@@ -423,12 +455,12 @@ func TestBreakerPropagation(t *testing.T) {
 	for _, rep := range reports {
 		byID[rep.Task.ID] = rep
 	}
-	if got := byID["bad1"].Outcome(); got != "error" {
+	if got := byID["bad1"].Outcome; got != "error" {
 		t.Errorf("bad1 outcome = %q, want error", got)
 	}
 	for _, id := range []string{"bad2", "bad3"} {
 		rep := byID[id]
-		if got := rep.Outcome(); got != "skipped-open-breaker" {
+		if got := rep.Outcome; got != "skipped-open-breaker" {
 			t.Errorf("%s outcome = %q, want skipped-open-breaker", id, got)
 			continue
 		}
@@ -436,8 +468,8 @@ func TestBreakerPropagation(t *testing.T) {
 			t.Errorf("%s error = %v, want ErrBreakerOpen", id, rep.Err)
 		}
 	}
-	if got := runstore.CanonicalOutcome(byID["good1"].Outcome(), byID["good1"].Attempts); got != "ok" {
-		t.Errorf("good1 canonical outcome = %q, want ok (other families must keep running)", got)
+	if got := byID["good1"].Outcome; got != "ok" {
+		t.Errorf("good1 outcome = %q, want ok (other families must keep running)", got)
 	}
 }
 
@@ -522,7 +554,7 @@ func TestCampaignCrashResume(t *testing.T) {
 
 	w1, w2 := newTestWorker(t, tasks), newTestWorker(t, tasks)
 	coord := newCoordinator([]string{w1.srv.URL, w2.srv.URL}, "bsr-test")
-	if _, err := camp.Run(ctx, tasks, "bsr-test", nil, coord.Run); err != nil {
+	if _, err := camp.Run(ctx, tasks, nil, coord.Run); err != nil {
 		t.Fatalf("first (crashing) coordinator run: %v", err)
 	}
 	if err := camp.Journal.Close(); err != nil {
@@ -537,7 +569,7 @@ func TestCampaignCrashResume(t *testing.T) {
 		t.Fatalf("resumed campaign replays %d records, want >= 3 (crash point)", len(resumed.Replayed))
 	}
 	coord2 := newCoordinator([]string{w1.srv.URL, w2.srv.URL}, "bsr-test")
-	reports, err := resumed.Run(context.Background(), tasks, "bsr-test", nil, coord2.Run)
+	reports, err := resumed.Run(context.Background(), tasks, nil, coord2.Run)
 	if err != nil {
 		t.Fatalf("resumed coordinator run: %v", err)
 	}
@@ -624,7 +656,7 @@ func TestFallbackJournalsBeforeObserving(t *testing.T) {
 	coord.StealAfter = time.Minute
 	coord.WorkerBudget = 1
 	coord.OnDegrade = func(reason string) { degraded.Store(reason) }
-	if _, err := camp.Run(context.Background(), tasks, "bsr-test", observe, coord.Run); err != nil {
+	if _, err := camp.Run(context.Background(), tasks, observe, coord.Run); err != nil {
 		t.Fatalf("campaign run: %v", err)
 	}
 	if reason, _ := degraded.Load().(string); !strings.Contains(reason, "all workers lost") {
@@ -661,12 +693,12 @@ func TestCrashPointParity(t *testing.T) {
 				cancel()
 			}
 
-			exec := campaign.Local(&engine.Runner{RunID: "bsr-test"}, engine.Config{Seed: testSeed})
+			exec := campaign.Local(&engine.Runner{}, engine.Config{Seed: testSeed})
 			if executor == "coordinator" {
 				// One worker, so outcomes settle one at a time.
 				exec = newCoordinator([]string{newTestWorker(t, tasks).srv.URL}, "bsr-test").Run
 			}
-			if _, err := camp.Run(ctx, tasks, "bsr-test", func(engine.Report) { seen.Add(1) }, exec); err != nil {
+			if _, err := camp.Run(ctx, tasks, func(engine.Report) { seen.Add(1) }, exec); err != nil {
 				t.Fatalf("campaign run: %v", err)
 			}
 			if seenAtCrash != 3 {

@@ -139,7 +139,7 @@ func (wk *Worker) serveRun(w http.ResponseWriter, r *http.Request) {
 			wk.logf("fabric: worker: streaming %s outcome: %v", t.ID, err)
 			return
 		}
-		wk.logf("fabric: worker streamed %s (%s)", t.ID, rep.Outcome())
+		wk.logf("fabric: worker streamed %s (%s)", t.ID, rep.Outcome)
 		wk.CrashPoint.Tick()
 	}
 }

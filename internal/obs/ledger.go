@@ -38,7 +38,9 @@ type LedgerRecord struct {
 	BaseSeed uint64 `json:"base_seed"`
 	Seed     uint64 `json:"seed"`
 	// Outcome is "ok", "retried-ok", "error", "panic", "exhausted",
-	// "timeout" or "canceled" (engine.Report.Outcome's vocabulary).
+	// "timeout", "canceled" or "skipped-open-breaker"
+	// (engine.Report.Outcome's vocabulary), or "replayed" for a task
+	// rebuilt from a campaign journal or a fabric worker's record.
 	Outcome string `json:"outcome"`
 	Error   string `json:"error,omitempty"`
 	// WallSeconds is the one nondeterministic field (0 in golden tests).

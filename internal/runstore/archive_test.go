@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"branchscope/internal/campaign"
 	"branchscope/internal/engine"
@@ -43,6 +44,23 @@ func suiteTasks() []engine.Task {
 	return tasks
 }
 
+// retriedTask times out on its first attempt and succeeds on its
+// second, which it tells apart by the attempt's seed: only the first
+// runs on the task's standard derived seed.
+func retriedTask(id string, baseSeed uint64) engine.Task {
+	return engine.Task{
+		ID:       id,
+		Artifact: "test",
+		Run: func(ctx context.Context, cfg engine.Config) (engine.Result, error) {
+			if cfg.Seed == engine.DeriveSeed(baseSeed, id) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			return litResult{id: id, seed: cfg.Seed}, nil
+		},
+	}
+}
+
 // archiveReports records reports into an archiver alongside the
 // canonical report/export blobs (wall times zeroed, as the CLIs do)
 // and an optional journal artifact, writes the archive, and returns
@@ -54,7 +72,7 @@ func archiveReports(t *testing.T, dir string, id Identity, reports []engine.Repo
 	for i := range reports {
 		reports[i].Wall = 0
 		rep := reports[i]
-		o := TaskOutcome{ID: rep.Task.ID, Seed: rep.Seed, Outcome: rep.Outcome(), Attempts: rep.Attempts}
+		o := TaskOutcome{ID: rep.Task.ID, Seed: rep.Seed, Outcome: rep.Outcome, Attempts: rep.Attempts}
 		if rep.Err != nil {
 			o.Error = rep.Err.Error()
 		}
@@ -103,18 +121,21 @@ func TestArchiveParallelInvariance(t *testing.T) {
 // TestArchiveCrashResumeInvariance proves a crashed-and-resumed
 // campaign archives the same manifest bytes as an uninterrupted run —
 // including the canonical journal digest, despite the resumed journal
-// holding its records in a different on-disk order.
+// holding its records in a different on-disk order — and that a task
+// which needed a retry stays "retried-ok" when it is replayed.
 func TestArchiveCrashResumeInvariance(t *testing.T) {
-	tasks := suiteTasks()
-	taskIDs := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
+	// The retried task runs first, so the interrupted run journals it.
+	tasks := append([]engine.Task{retriedTask("retried", 11)}, suiteTasks()...)
+	taskIDs := []string{"retried", "alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
 	id := Identity{Program: "test", BaseSeed: 11, Quick: true, Tasks: taskIDs}
 	cfg := engine.Config{Quick: true, Seed: 11}
 	header := campaign.Header{Program: "test", BaseSeed: 11, Quick: true, Tasks: taskIDs}
 	ctx := context.Background()
+	runner := &engine.Runner{Timeout: 100 * time.Millisecond, MaxAttempts: 2}
 
-	runCampaign := func(camp *campaign.Campaign, run []engine.Task) []engine.Report {
+	runCampaign := func(camp *campaign.Campaign, run []engine.Task, observe func(engine.Report)) []engine.Report {
 		t.Helper()
-		reports, err := camp.Run(ctx, run, "", nil, campaign.Local(&engine.Runner{}, cfg))
+		reports, err := camp.Run(ctx, run, observe, campaign.Local(runner, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +151,7 @@ func TestArchiveCrashResumeInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseReports := runCampaign(camp, tasks)
+	baseReports := runCampaign(camp, tasks, nil)
 	baseManifest := archiveReports(t, t.TempDir(), id, baseReports, baseJournal)
 
 	// Interrupted run: journal only the first three outcomes, then stop
@@ -141,7 +162,7 @@ func TestArchiveCrashResumeInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runCampaign(camp, tasks[:3])
+	runCampaign(camp, tasks[:3], nil)
 
 	// Resume replays the three journaled tasks and runs the rest.
 	camp, err = campaign.Resume(crashJournal, header)
@@ -151,12 +172,34 @@ func TestArchiveCrashResumeInvariance(t *testing.T) {
 	if len(camp.Replayed) != 3 {
 		t.Fatalf("resumed campaign replays %d records, want 3", len(camp.Replayed))
 	}
-	resumeReports := runCampaign(camp, tasks)
+	var observed engine.Report
+	resumeReports := runCampaign(camp, tasks, func(rep engine.Report) {
+		if rep.Task.ID == "retried" {
+			observed = rep
+		}
+	})
 	resumeManifest := archiveReports(t, t.TempDir(), id, resumeReports, crashJournal)
 
 	if !bytes.Equal(baseManifest, resumeManifest) {
 		t.Fatalf("manifest differs across crash+resume:\n-- base --\n%s\n-- resumed --\n%s",
 			baseManifest, resumeManifest)
+	}
+	if !observed.Replayed || observed.Outcome != "retried-ok" {
+		t.Errorf("resumed run observed the retried task as %q (replayed %v), want a replayed retried-ok",
+			observed.Outcome, observed.Replayed)
+	}
+	m, err := ReadManifest(bytes.NewReader(resumeManifest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retried TaskOutcome
+	for _, o := range m.Outcomes {
+		if o.ID == "retried" {
+			retried = o
+		}
+	}
+	if retried.Outcome != "retried-ok" || retried.Attempts != 2 {
+		t.Errorf("manifest lists the retried task as %+v, want retried-ok after 2 attempts", retried)
 	}
 }
 

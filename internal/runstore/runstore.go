@@ -102,31 +102,15 @@ func (id Identity) RunID() string {
 type TaskOutcome struct {
 	ID   string `json:"id"`
 	Seed uint64 `json:"seed"`
-	// Outcome is the canonical engine classification (see
-	// CanonicalOutcome): a replayed task reports what it originally
-	// settled as, so resumed runs archive identically.
+	// Outcome is how the task settled (engine.Report.Outcome): a
+	// replayed task keeps the outcome its record holds, so resumed and
+	// merged runs archive identically.
 	Outcome  string `json:"outcome"`
 	Attempts int    `json:"attempts,omitempty"`
 	// Error is the failure's first line (panic stacks and wrapped
 	// detail carry addresses and goroutine IDs that would break the
 	// manifest's byte-identity).
 	Error string `json:"error,omitempty"`
-}
-
-// CanonicalOutcome maps an engine outcome to its identity-stable form:
-// "replayed" resolves to what the journaled run originally settled as
-// ("retried-ok" when it took more than one attempt, "ok" otherwise),
-// everything else passes through. Two runs of the same identity — one
-// uninterrupted, one crashed and resumed — then record identical
-// outcome vectors.
-func CanonicalOutcome(outcome string, attempts int) string {
-	if outcome == "replayed" {
-		if attempts > 1 {
-			return "retried-ok"
-		}
-		return "ok"
-	}
-	return outcome
 }
 
 // Artifact is one archived file in a manifest.
@@ -163,7 +147,7 @@ type Manifest struct {
 	Schema   string   `json:"schema"`
 	RunID    string   `json:"run_id"`
 	Identity Identity `json:"identity"`
-	// Counts aggregates canonical outcomes ("ok": 9, ...). Maps
+	// Counts aggregates outcomes ("ok": 9, ...). Maps
 	// marshal with sorted keys, so the rendering is stable.
 	Counts map[string]int `json:"counts"`
 	// Outcomes lists every task's settled state, sorted by task ID.
@@ -176,9 +160,9 @@ type Manifest struct {
 	Artifacts []Artifact `json:"artifacts"`
 }
 
-// NewManifest assembles a manifest from an identity and raw outcomes:
-// outcomes are canonicalized, error text truncated to its first line,
-// the list sorted by ID, and counts aggregated.
+// NewManifest assembles a manifest from an identity and settled
+// outcomes: error text truncated to its first line, the list sorted by
+// ID, and counts aggregated.
 func NewManifest(id Identity, outcomes []TaskOutcome) Manifest {
 	m := Manifest{
 		Schema:   Schema,
@@ -188,7 +172,6 @@ func NewManifest(id Identity, outcomes []TaskOutcome) Manifest {
 		Outcomes: make([]TaskOutcome, 0, len(outcomes)),
 	}
 	for _, o := range outcomes {
-		o.Outcome = CanonicalOutcome(o.Outcome, o.Attempts)
 		if i := strings.IndexByte(o.Error, '\n'); i >= 0 {
 			o.Error = o.Error[:i]
 		}

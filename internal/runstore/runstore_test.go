@@ -79,30 +79,10 @@ func TestRunIDSurvivesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCanonicalOutcome(t *testing.T) {
-	cases := []struct {
-		outcome  string
-		attempts int
-		want     string
-	}{
-		{"ok", 1, "ok"},
-		{"retried-ok", 3, "retried-ok"},
-		{"replayed", 1, "ok"},
-		{"replayed", 2, "retried-ok"},
-		{"error", 1, "error"},
-		{"panic", 1, "panic"},
-	}
-	for _, c := range cases {
-		if got := CanonicalOutcome(c.outcome, c.attempts); got != c.want {
-			t.Errorf("CanonicalOutcome(%q, %d) = %q, want %q", c.outcome, c.attempts, got, c.want)
-		}
-	}
-}
-
 func TestNewManifestCanonicalizes(t *testing.T) {
 	id := testIdentity()
 	m := NewManifest(id, []TaskOutcome{
-		{ID: "table1", Seed: 2, Outcome: "replayed", Attempts: 2},
+		{ID: "table1", Seed: 2, Outcome: "retried-ok", Attempts: 2},
 		{ID: "fig2", Seed: 1, Outcome: "error", Error: "boom\ngoroutine 7 [running]:"},
 	})
 	if m.RunID != id.RunID() {
@@ -113,9 +93,6 @@ func TestNewManifestCanonicalizes(t *testing.T) {
 	}
 	if m.Outcomes[0].Error != "boom" {
 		t.Fatalf("error not truncated to first line: %q", m.Outcomes[0].Error)
-	}
-	if m.Outcomes[1].Outcome != "retried-ok" {
-		t.Fatalf("replayed outcome not canonicalized: %q", m.Outcomes[1].Outcome)
 	}
 	if m.Counts["error"] != 1 || m.Counts["retried-ok"] != 1 {
 		t.Fatalf("counts wrong: %v", m.Counts)

@@ -412,7 +412,7 @@ func (s *Service) Submit(sp Spec) (JobStatus, error) {
 	}
 	// The submit record must be durable before the client sees 201:
 	// a 201'd job survives a restart, full stop.
-	if _, err := s.jnl.Append(kindJob, jobRecord{ID: j.id, RunID: runID, Spec: sp}); err != nil {
+	if err := s.jnl.Append(kindJob, jobRecord{ID: j.id, RunID: runID, Spec: sp}); err != nil {
 		return JobStatus{}, &SubmitError{Code: 500, Err: err}
 	}
 	s.jobs[j.id] = j
@@ -492,7 +492,7 @@ func (s *Service) startLocked(j *job) {
 	j.state = StateRunning
 	s.running[j.tenant]++
 	s.totalRunning++
-	if _, err := s.jnl.Append(kindStart, markRecord{ID: j.id}); err != nil {
+	if err := s.jnl.Append(kindStart, markRecord{ID: j.id}); err != nil {
 		s.log.Error("journaling job start", "job", j.id, "err", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -538,7 +538,6 @@ func (s *Service) run(j *job, ctx context.Context, cancel context.CancelFunc) {
 	plan.Pool = s.pool
 	plan.LedgerConfig = map[string]any{"quick": sp.Quick, "tenant": sp.Tenant, "job": j.id}
 	runner := plan.Runner(sp.Flags())
-	runner.RunID = j.runID
 	runner.OnStart = func(t engine.Task, seed uint64) {
 		s.log.Info("job task start", "job", j.id, "tenant", j.tenant, "id", t.ID, "seed", seed)
 	}
@@ -636,7 +635,7 @@ func (s *Service) settle(j *job, state, reason string) {
 // journalDone appends the settlement record; best-effort (the
 // in-memory state is already authoritative for this process's life).
 func (s *Service) journalDone(j *job) {
-	if _, err := s.jnl.Append(kindDone, markRecord{ID: j.id, State: j.state, Reason: j.reason}); err != nil {
+	if err := s.jnl.Append(kindDone, markRecord{ID: j.id, State: j.state, Reason: j.reason}); err != nil {
 		s.log.Error("journaling job settlement", "job", j.id, "err", err)
 	}
 }

@@ -115,7 +115,6 @@ func directArchive(t *testing.T, dir string, sp Spec, tasks []engine.Task) strin
 		t.Fatal(err)
 	}
 	runner := plan.Runner(sp.Flags())
-	runner.RunID = identity.RunID()
 	reports := runner.RunSuite(context.Background(), tasks, engine.Config{Quick: sp.Quick, Seed: sp.Seed()})
 	arc := runstore.New(dir, identity)
 	if err := plan.Settle(arc, reports, runner.Breakers); err != nil {

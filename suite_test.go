@@ -137,7 +137,7 @@ func TestSuitePanickingExperimentIsolated(t *testing.T) {
 	}
 	for _, rep := range reports {
 		if rep.Task.ID == "testpanic" {
-			if rep.Err == nil || !rep.Panicked {
+			if rep.Err == nil || rep.Outcome != "panic" {
 				t.Errorf("panic not reported as the task's error: %+v", rep)
 			}
 			continue
