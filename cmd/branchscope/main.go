@@ -47,8 +47,10 @@
 // injector to the run; -retry N switches the spy to the resilient
 // per-bit majority-vote read, reporting bits whose vote stays
 // ambiguous as unknown rather than silently wrong. The covert run is
-// one root task on -seed, so -checkpoint/-resume and -breaker, which
-// only apply to multi-task campaigns, exit 2.
+// one root task on -seed, so branchscope registers the covert-read
+// flags (cliutil.Flags.RegisterCovert) and not the multi-task campaign
+// ones: -checkpoint/-resume, -breaker and the service mode are unknown
+// flags here (exit 2).
 package main
 
 import (
@@ -92,7 +94,7 @@ func run() (code int) {
 		traced  = flag.Bool("trace", false, "record and summarize the spy's execution trace")
 	)
 	var obsFlags cliutil.Flags
-	obsFlags.Register(flag.CommandLine)
+	obsFlags.RegisterCovert(flag.CommandLine)
 	flag.Parse()
 
 	// Validate the flag set up front; nonsensical combinations are
@@ -113,12 +115,6 @@ func run() (code int) {
 	if *traced && *runs > 1 {
 		return usageErr("-trace requires -runs 1: per-run recorder summaries would be " +
 			"misattributed when averaging over runs")
-	}
-	if err := obsFlags.RequireNoCampaign("branchscope"); err != nil {
-		return usageErr("%v", err)
-	}
-	if err := obsFlags.RequireNoService("branchscope"); err != nil {
-		return usageErr("%v", err)
 	}
 	// -coordinator/-worker/-workers: the distributed fabric (see
 	// internal/fabric). For this single-task CLI the coordinator

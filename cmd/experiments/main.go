@@ -102,10 +102,11 @@
 // chaos/retry/breaker/timeout knobs) that deliberately excludes
 // execution shape (-parallel, -checkpoint/-resume, sink paths) — and
 // stamps it into the report export, every ledger record, the campaign
-// journal header, leakage reports, and /statusz. -archive <dir> also
-// writes a branchscope.run/v1 manifest plus copies of every sink under
-// <dir>/<run-id>/; the manifest is byte-identical at any -parallel and
-// across a crash+-resume. Inspect archives with cmd/bsctl
+// journal header, the -leakage-out report, and /statusz. -archive <dir>
+// also writes a branchscope.run/v1 manifest plus copies of every sink
+// under <dir>/<run-id>/; the manifest is byte-identical at any
+// -parallel and across a crash+-resume unless a task ran into -timeout,
+// the one knob the wall clock decides. Inspect archives with cmd/bsctl
 // (list/show/tail/diff/check).
 //
 // Campaign service (see internal/svc and DESIGN §3.21): -service turns
@@ -156,7 +157,7 @@ func run() (code int) {
 		jsonPath = flag.String("json", "", "write results as structured JSON (branchscope.experiments/v1) to this file")
 	)
 	var obsFlags cliutil.Flags
-	obsFlags.Register(flag.CommandLine)
+	obsFlags.RegisterCampaign(flag.CommandLine)
 	flag.Parse()
 
 	if *parallel < 1 {

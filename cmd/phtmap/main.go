@@ -8,28 +8,26 @@
 //	phtmap [-model Skylake] [-start 0x300000] [-addresses 65536]
 //	       [-block 4000] [-pairs 100] [-seed 1]
 //	       [-chaos light|moderate|heavy|FLOAT|JSON] [-chaos-seed 0]
-//	       [-serve addr] [-ledger-out l.jsonl]
-//	       [-metrics-out m.json] [-trace-out t.json]
+//	       [-serve addr] [-ledger-out l.jsonl] [-watchdog 0]
 //	       [-introspect-out pht.json] [-archive dir]
 //	       [-log-format text|json] [-log-level info]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// Observability (shared surface, see internal/cliutil): the flags above
-// match cmd/branchscope and cmd/experiments exactly. -serve exposes
-// /statusz, /healthz, /readyz and /debug/pprof live during the run;
-// -ledger-out appends one branchscope.ledger/v1 provenance record with
-// the run's config, seed, outcome and result digest. -archive <dir>
-// snapshots every sink plus a branchscope.run/v1 manifest under
+// Observability (shared surface, see internal/cliutil): each flag above
+// means what it means in cmd/branchscope and cmd/experiments. -serve
+// exposes /statusz, /healthz, /readyz and /debug/pprof live during the
+// run; -ledger-out appends one branchscope.ledger/v1 provenance record
+// with the run's config, seed, outcome and result digest. -archive
+// <dir> snapshots every sink plus a branchscope.run/v1 manifest under
 // <dir>/<run-id>/, where <run-id> digests only the result-shaping knobs
-// (see internal/runstore; inspect with cmd/bsctl). The mapper records
-// no telemetry of its own: -metrics-out writes an empty registry
-// (null counters, gauges and histograms) and -trace-out an empty
-// trace, accepted for flag parity only.
+// (see internal/runstore; inspect with cmd/bsctl).
 //
-// The mapping pass is one root task on the -seed it was given, so the
-// flags that only apply to multi-task campaigns or covert reads —
-// -checkpoint/-resume, -breaker, -retry, the fabric and service modes —
-// exit 2 rather than mint a new run ID for identical output.
+// The mapping pass is one root task on the -seed it was given, records
+// no telemetry and publishes no leakage report, so phtmap registers
+// only the shared flags every program applies (cliutil.Flags.Register).
+// The metrics, trace and leakage sinks, -retry, the campaign journal,
+// -breaker and the fabric and service modes are unknown flags here
+// (exit 2).
 //
 // Predictor introspection (see DESIGN §3.17): after the mapping pass
 // RunFig5 publishes the decoded machine's BPU snapshot — per-entry
@@ -87,16 +85,6 @@ func run() (code int) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bad -start: %v\n", err)
 		return 2
-	}
-	for _, require := range []func(string) error{
-		obsFlags.RequireNoCampaign, obsFlags.RequireNoFabric,
-		obsFlags.RequireNoService, obsFlags.RequireNoRetry,
-	} {
-		if err := require("phtmap"); err != nil {
-			fmt.Fprintln(os.Stderr, "phtmap:", err)
-			flag.Usage()
-			return 2
-		}
 	}
 
 	sess, err := cliutil.NewSession("phtmap", obsFlags, cliutil.Options{})

@@ -309,23 +309,6 @@ func (u *Unit) resetSelector() {
 	}
 }
 
-// Reset returns the entire unit to power-on state.
-func (u *Unit) Reset() {
-	u.pht.Reset()
-	u.resetSelector()
-	u.ghr = 0
-	for i := range u.tags {
-		u.tags[i] = tagEntry{}
-	}
-	for i := range u.btb {
-		u.btb[i] = btbEntry{}
-	}
-	u.commits, u.mispredicts = 0, 0
-	for i := range u.heat {
-		u.heat[i] = 0
-	}
-}
-
 // domainKey derives the effective randomized-index key for a domain.
 func (u *Unit) domainKey(domain uint64) uint64 {
 	return u.cfg.IndexKey ^ (domain * 0x9e3779b97f4a7c15)

@@ -36,3 +36,20 @@ func (u *Unit) TagLive(domain, addr uint64) bool {
 	e := u.tags[u.tagIndex(domain, addr)]
 	return e.valid && e.addr == addr
 }
+
+// Reset returns the entire unit to power-on state.
+func (u *Unit) Reset() {
+	u.pht.Reset()
+	u.resetSelector()
+	u.ghr = 0
+	for i := range u.tags {
+		u.tags[i] = tagEntry{}
+	}
+	for i := range u.btb {
+		u.btb[i] = btbEntry{}
+	}
+	u.commits, u.mispredicts = 0, 0
+	for i := range u.heat {
+		u.heat[i] = 0
+	}
+}

@@ -1,6 +1,7 @@
 // Package cliutil is the invocation pipeline shared by the three CLIs
-// (branchscope, experiments, phtmap) and the campaign job service: one
-// flag set with identical names and usage wording; a Session that owns
+// (branchscope, experiments, phtmap) and the campaign job service:
+// three nested flag sets, in which a flag means the same thing with the
+// same usage string in every program that registers it; a Session that owns
 // every export sink — metrics and trace files, the provenance ledger,
 // the live obs server, Go profiles — and flushes all of them in Close;
 // and a Plan that Session.Execute turns into a run identity, executes
@@ -42,9 +43,12 @@ import (
 	"branchscope/internal/telemetry"
 )
 
-// Flags is the shared observability flag set. Register installs it
-// with the same names and usage strings in every CLI — flag parity is
-// a tested contract, not a convention.
+// Flags holds the shared flags. Each program registers only the ones
+// it applies — Register (phtmap) ⊂ RegisterCovert (branchscope) ⊂
+// RegisterCampaign (experiments) — so a flag a program cannot use is
+// an unknown flag to its parser, and its field stays zero. A flag
+// means the same thing, with the same usage string, in every program
+// that registers it; TestFlagRegistrationParity pins the three sets.
 type Flags struct {
 	MetricsOut string
 	TraceOut   string
@@ -68,8 +72,7 @@ type Flags struct {
 	Retry     int
 	// Checkpoint/Resume/Watchdog/Breaker are the durability surface: a
 	// crash-safe campaign journal with resume, a soft per-task deadline,
-	// and a per-family circuit breaker. See Campaign, RequireNoCampaign
-	// and Breakers.
+	// and a per-family circuit breaker. See Campaign and Breakers.
 	Checkpoint string
 	Resume     bool
 	Watchdog   time.Duration
@@ -103,13 +106,12 @@ type Flags struct {
 	SvcJournal       string
 }
 
-// Register installs the shared flags on fs.
+// Register installs the flags every program applies: the live server,
+// the ledger, the predictor snapshot, logging, profiles, chaos, the
+// watchdog and the run archive. It is phtmap's whole shared surface.
 func (f *Flags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write telemetry metrics as JSON to this file")
-	fs.StringVar(&f.TraceOut, "trace-out", "", "write a Perfetto-loadable Chrome trace JSON to this file")
 	fs.StringVar(&f.Serve, "serve", "", "serve live observability endpoints (/metrics, /leakage, /introspect/pht, /statusz, /healthz, /readyz, /debug/pprof) on this address during the run (e.g. :8080 or 127.0.0.1:0)")
 	fs.StringVar(&f.LedgerOut, "ledger-out", "", "append one branchscope.ledger/v1 JSONL provenance record per completed task to this file")
-	fs.StringVar(&f.LeakageOut, "leakage-out", "", "write the last published channel-quality report (branchscope.leakage/v1 JSON) to this file")
 	fs.StringVar(&f.IntrospectOut, "introspect-out", "", "write the last published predictor introspection snapshot (branchscope.introspect/v1 JSON) to this file")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "structured stderr log format: text or json")
 	fs.StringVar(&f.LogLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
@@ -117,15 +119,33 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
 	fs.StringVar(&f.Chaos, "chaos", "", "deterministic fault injection: off, light, moderate, heavy, a bare intensity multiplier, or a chaos plan JSON object")
 	fs.Uint64Var(&f.ChaosSeed, "chaos-seed", 0, "seed for the chaos plan's fault schedule (0 = derive from -seed)")
-	fs.IntVar(&f.Retry, "retry", 0, "per-bit attempt budget for the resilient attack loop; also retries timed-out tasks (0 = the paper's naive single-episode read)")
-	fs.StringVar(&f.Checkpoint, "checkpoint", "", "journal per-task outcomes to this crash-safe branchscope.campaign/v1 file as they complete (enables -resume)")
-	fs.BoolVar(&f.Resume, "resume", false, "resume an interrupted campaign from the -checkpoint journal: replay completed tasks, re-run the rest with the same derived seeds")
 	fs.DurationVar(&f.Watchdog, "watchdog", 0, "soft per-task deadline: tasks running past it are marked stuck in /statusz and logs but keep running (0 = off)")
-	fs.IntVar(&f.Breaker, "breaker", 0, "open a per-family circuit breaker after N consecutive permanent task failures, skipping the family's remaining tasks (0 = off)")
 	fs.StringVar(&f.Archive, "archive", "", "archive this run under <dir>/<run-id>/: a branchscope.run/v1 manifest plus copies of every sink (inspect with bsctl)")
+}
+
+// RegisterCovert installs Register's flags plus those of the programs
+// that run covert reads (branchscope, experiments): the metrics, trace
+// and leakage sinks, the resilient read loop's -retry, and the fabric
+// modes.
+func (f *Flags) RegisterCovert(fs *flag.FlagSet) {
+	f.Register(fs)
+	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write telemetry metrics as JSON to this file")
+	fs.StringVar(&f.TraceOut, "trace-out", "", "write a Perfetto-loadable Chrome trace JSON to this file")
+	fs.StringVar(&f.LeakageOut, "leakage-out", "", "write the last published channel-quality report (branchscope.leakage/v1 JSON) to this file")
+	fs.IntVar(&f.Retry, "retry", 0, "per-bit attempt budget for the resilient attack loop; also retries timed-out tasks (0 = the paper's naive single-episode read)")
 	fs.BoolVar(&f.Coordinator, "coordinator", false, "run as a distributed-campaign coordinator: shard the task list across the -workers pool and merge their streamed outcomes (byte-identical to a single-process run)")
 	fs.StringVar(&f.Workers, "workers", "", "comma-separated worker base URLs for -coordinator (e.g. http://127.0.0.1:9001,http://127.0.0.1:9002)")
 	fs.BoolVar(&f.Worker, "worker", false, "run as a distributed-campaign worker: serve fabric assignments from a coordinator on the -serve address instead of running the suite locally")
+}
+
+// RegisterCampaign installs RegisterCovert's flags plus those of the
+// multi-task campaign program (experiments): the campaign journal, the
+// circuit breaker and the job service.
+func (f *Flags) RegisterCampaign(fs *flag.FlagSet) {
+	f.RegisterCovert(fs)
+	fs.StringVar(&f.Checkpoint, "checkpoint", "", "journal per-task outcomes to this crash-safe branchscope.campaign/v1 file as they complete (enables -resume)")
+	fs.BoolVar(&f.Resume, "resume", false, "resume an interrupted campaign from the -checkpoint journal: replay completed tasks, re-run the rest with the same derived seeds")
+	fs.IntVar(&f.Breaker, "breaker", 0, "open a per-family circuit breaker after N consecutive permanent task failures, skipping the family's remaining tasks (0 = off)")
 	fs.BoolVar(&f.Service, "service", false, "run as a multi-tenant campaign job service: accept branchscope.job/v1 submissions on the -serve address (POST /jobs) instead of running the suite locally")
 	fs.IntVar(&f.SvcJobs, "svc-jobs", 0, "service mode: max jobs running concurrently across all tenants (0 = 2)")
 	fs.IntVar(&f.SvcQueue, "svc-queue", 0, "service mode: max jobs queued across all tenants before submissions shed with 429 (0 = 16)")
@@ -179,15 +199,6 @@ func (f Flags) FabricWorkers() ([]string, error) {
 	return urls, nil
 }
 
-// RequireNoFabric rejects the fabric flags for programs that only run
-// locally: phtmap's mapping sweep has no campaign task list to shard.
-func (f Flags) RequireNoFabric(prog string) error {
-	if f.Coordinator || f.Worker || f.Workers != "" {
-		return fmt.Errorf("%s runs locally only; -coordinator/-worker/-workers apply to campaign programs (use cmd/experiments or cmd/branchscope)", prog)
-	}
-	return nil
-}
-
 // ServiceMode validates the service flag combination for the one
 // program that can serve jobs (cmd/experiments). Service mode needs an
 // address to serve on and is exclusive with the fabric and campaign
@@ -211,16 +222,6 @@ func (f Flags) ServiceMode() error {
 	}
 	if f.SvcJobs < 0 || f.SvcQueue < 0 || f.SvcTenantRunning < 0 || f.SvcTenantQueue < 0 {
 		return errors.New("-svc-* limits must be >= 0 (0 = the service default)")
-	}
-	return nil
-}
-
-// RequireNoService rejects the service flags for programs that cannot
-// serve jobs: only cmd/experiments has the task registry a job spec
-// selects from.
-func (f Flags) RequireNoService(prog string) error {
-	if f.Service || f.SvcJobs != 0 || f.SvcQueue != 0 || f.SvcTenantRunning != 0 || f.SvcTenantQueue != 0 || f.SvcJournal != "" {
-		return fmt.Errorf("%s runs locally only; -service and -svc-* apply to cmd/experiments", prog)
 	}
 	return nil
 }
@@ -304,27 +305,6 @@ func (f Flags) Campaign(h campaign.Header) (*campaign.Campaign, error) {
 		return campaign.Resume(f.Checkpoint, h)
 	}
 	return campaign.New(f.Checkpoint, h)
-}
-
-// RequireNoCampaign rejects the campaign flags for single-task
-// programs: with exactly one root task there is nothing to checkpoint
-// between — rerunning the program is the resume path — and no
-// remaining task of a family a breaker could skip.
-func (f Flags) RequireNoCampaign(prog string) error {
-	if f.Checkpoint != "" || f.Resume || f.Breaker != 0 {
-		return fmt.Errorf("%s runs a single root task; -checkpoint/-resume/-breaker only apply to multi-task campaigns (use cmd/experiments)", prog)
-	}
-	return nil
-}
-
-// RequireNoRetry rejects -retry for programs without a resilient read
-// loop to switch on (phtmap's mapper probes in a flat loop), so the
-// flag can never mint a new run identity for identical output.
-func (f Flags) RequireNoRetry(prog string) error {
-	if f.Retry != 0 {
-		return fmt.Errorf("%s has no resilient read loop; -retry applies to covert-channel runs (use cmd/branchscope or cmd/experiments)", prog)
-	}
-	return nil
 }
 
 // Breakers resolves -breaker into the engine's circuit-breaker set
@@ -561,16 +541,15 @@ func (s *Session) serveFabric(w http.ResponseWriter, r *http.Request) {
 	wk.Handler().ServeHTTP(w, r)
 }
 
-// SetRunID installs the run's causal identity on every sink the
-// session owns: ledger records, leakage reports, and /statusz. Call it
-// as soon as the identity is derived (before tasks run).
+// SetRunID installs the run's causal identity on the ledger records and
+// /statusz; Close stamps it on the -leakage-out report. Call it as soon
+// as the identity is derived (before tasks run).
 func (s *Session) SetRunID(id string) {
 	if s == nil || id == "" {
 		return
 	}
 	s.runID.Store(&id)
 	s.Ledger.SetRunID(id)
-	leakage.SetRunID(id)
 }
 
 // RunID returns the identity installed by SetRunID ("" before).
@@ -654,7 +633,8 @@ func (s *Session) Close() error {
 		}
 	}
 	if s.flags.LeakageOut != "" {
-		if err := WriteFile(s.flags.LeakageOut, leakage.WriteLatestReport); err != nil {
+		write := func(w io.Writer) error { return leakage.WriteLatestReport(w, s.RunID()) }
+		if err := WriteFile(s.flags.LeakageOut, write); err != nil {
 			errs = append(errs, fmt.Errorf("writing leakage report: %w", err))
 		} else {
 			s.Log.Info("leakage report written", "path", s.flags.LeakageOut, "schema", leakage.Schema)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,34 +22,43 @@ import (
 	"branchscope/internal/telemetry/promtext"
 )
 
-// TestFlagRegistrationParity pins the shared flag surface: every CLI
-// registers through Flags.Register, so the set of names and usage
-// strings here IS the parity contract across cmd/branchscope,
-// cmd/experiments and cmd/phtmap.
+// TestFlagRegistrationParity pins the shared flag surface of each
+// program: phtmap registers Register's set, branchscope
+// RegisterCovert's and experiments RegisterCampaign's, each nesting
+// the one before.
 func TestFlagRegistrationParity(t *testing.T) {
-	var f Flags
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	f.Register(fs)
-	want := []string{
-		"metrics-out", "trace-out", "serve", "ledger-out",
-		"leakage-out", "introspect-out",
+	every := []string{
+		"serve", "ledger-out", "introspect-out",
 		"log-format", "log-level", "cpuprofile", "memprofile",
-		"chaos", "chaos-seed", "retry",
-		"checkpoint", "resume", "watchdog", "breaker",
-		"archive",
-		"coordinator", "workers", "worker",
+		"chaos", "chaos-seed", "watchdog", "archive",
+	}
+	covert := append(slices.Clip(every),
+		"metrics-out", "trace-out", "leakage-out", "retry",
+		"coordinator", "workers", "worker")
+	campaign := append(slices.Clip(covert),
+		"checkpoint", "resume", "breaker",
 		"service", "svc-jobs", "svc-queue",
-		"svc-tenant-running", "svc-tenant-queue", "svc-journal",
-	}
-	for _, name := range want {
-		if fs.Lookup(name) == nil {
-			t.Errorf("shared flag -%s not registered", name)
-		}
-	}
-	n := 0
-	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != len(want) {
-		t.Errorf("registered %d flags, want %d", n, len(want))
+		"svc-tenant-running", "svc-tenant-queue", "svc-journal")
+	for _, tc := range []struct {
+		prog     string
+		register func(*Flags, *flag.FlagSet)
+		want     []string
+	}{
+		{"phtmap", (*Flags).Register, every},
+		{"branchscope", (*Flags).RegisterCovert, covert},
+		{"experiments", (*Flags).RegisterCampaign, campaign},
+	} {
+		t.Run(tc.prog, func(t *testing.T) {
+			fs := flag.NewFlagSet(tc.prog, flag.ContinueOnError)
+			tc.register(new(Flags), fs)
+			var got []string
+			fs.VisitAll(func(fl *flag.Flag) { got = append(got, fl.Name) })
+			want := slices.Clone(tc.want)
+			slices.Sort(want) // VisitAll visits in lexical order
+			if !slices.Equal(got, want) {
+				t.Errorf("registered %v, want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -270,37 +280,14 @@ func TestSessionServeLifecycle(t *testing.T) {
 	}
 }
 
-// TestCampaignFlagValidation pins the durability flag surface shared
-// by the CLIs: -resume requires -checkpoint, no flags means no
-// campaign, and single-task programs reject both, plus the knobs they
-// never apply (-breaker; -retry where no read loop takes it), which
-// would otherwise mint a new run ID for identical output.
+// TestCampaignFlagValidation pins the durability flags: -resume
+// requires -checkpoint, and no flags means no campaign.
 func TestCampaignFlagValidation(t *testing.T) {
 	if c, err := (Flags{}).Campaign(campaign.Header{}); err != nil || c != nil {
 		t.Errorf("no flags: campaign=%v err=%v, want nil/nil", c, err)
 	}
 	if _, err := (Flags{Resume: true}).Campaign(campaign.Header{}); err == nil {
 		t.Error("-resume without -checkpoint accepted")
-	}
-	if err := (Flags{}).RequireNoCampaign("prog"); err != nil {
-		t.Errorf("RequireNoCampaign without flags: %v", err)
-	}
-	if err := (Flags{Checkpoint: "x"}).RequireNoCampaign("prog"); err == nil {
-		t.Error("single-task program accepted -checkpoint")
-	}
-	if err := (Flags{Resume: true}).RequireNoCampaign("prog"); err == nil {
-		t.Error("single-task program accepted -resume")
-	}
-	// A breaker only skips a family's remaining tasks; with one root
-	// task it would change nothing but the run ID.
-	if err := (Flags{Breaker: 2}).RequireNoCampaign("prog"); err == nil {
-		t.Error("single-task program accepted -breaker")
-	}
-	if err := (Flags{Retry: 3}).RequireNoRetry("prog"); err == nil {
-		t.Error("program without a resilient read loop accepted -retry")
-	}
-	if err := (Flags{}).RequireNoRetry("prog"); err != nil {
-		t.Errorf("RequireNoRetry without flags: %v", err)
 	}
 
 	// A fresh -checkpoint campaign opens a journal ready for appends.
@@ -475,8 +462,8 @@ func TestSessionRepairsTornLedger(t *testing.T) {
 	}
 }
 
-// TestFabricFlagValidation pins the fabric flag combinations shared by
-// the campaign CLIs.
+// TestFabricFlagValidation pins the fabric flag combinations of the
+// programs that register them (branchscope, experiments).
 func TestFabricFlagValidation(t *testing.T) {
 	if urls, err := (Flags{}).FabricWorkers(); err != nil || urls != nil {
 		t.Errorf("no fabric flags: urls=%v err=%v, want nil/nil", urls, err)
@@ -504,21 +491,11 @@ func TestFabricFlagValidation(t *testing.T) {
 	if len(urls) != 2 || urls[0] != want[0] || urls[1] != want[1] {
 		t.Errorf("worker URLs = %v, want %v", urls, want)
 	}
-
-	if err := (Flags{}).RequireNoFabric("prog"); err != nil {
-		t.Errorf("RequireNoFabric without flags: %v", err)
-	}
-	if err := (Flags{Coordinator: true}).RequireNoFabric("prog"); err == nil {
-		t.Error("local-only program accepted -coordinator")
-	}
-	if err := (Flags{Worker: true}).RequireNoFabric("prog"); err == nil {
-		t.Error("local-only program accepted -worker")
-	}
 }
 
 // TestServiceFlagValidation pins the service flag combinations: the
-// mode needs a serve address, excludes the fabric and campaign modes,
-// and local-only programs reject the whole surface.
+// mode needs a serve address and excludes the fabric and campaign
+// modes.
 func TestServiceFlagValidation(t *testing.T) {
 	if err := (Flags{}).ServiceMode(); err != nil {
 		t.Errorf("no service flags: %v", err)
@@ -543,16 +520,6 @@ func TestServiceFlagValidation(t *testing.T) {
 	}
 	if err := (Flags{Service: true, Serve: ":0", SvcJobs: 4, SvcJournal: "j"}).ServiceMode(); err != nil {
 		t.Errorf("valid service flags rejected: %v", err)
-	}
-
-	if err := (Flags{}).RequireNoService("prog"); err != nil {
-		t.Errorf("RequireNoService without flags: %v", err)
-	}
-	if err := (Flags{Service: true}).RequireNoService("prog"); err == nil {
-		t.Error("local-only program accepted -service")
-	}
-	if err := (Flags{SvcJournal: "j"}).RequireNoService("prog"); err == nil {
-		t.Error("local-only program accepted -svc-journal")
 	}
 }
 

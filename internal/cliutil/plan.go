@@ -182,12 +182,12 @@ func (p Plan) Settle(arc *runstore.Archiver, reports []engine.Report, breakers *
 // fabric coordinator sharding the tasks across -coordinator workers,
 // and its campaign is nil unless -checkpoint/-resume makes the run
 // durable. Before any task starts it derives the run identity and
-// stamps the run ID on the session's ledger, leakage slot and /statusz
-// (a worker only checks assignments against the identity basis; its
-// coordinator owns the run); it installs the run's chaos plan, retry
-// budget and telemetry as experiments.Overrides on every task's
-// context; and after the run it settles the archive the session writes
-// at Close.
+// stamps the run ID on the session — its ledger, /statusz and the
+// -leakage-out report Close writes (a worker only checks assignments
+// against the identity basis; its coordinator owns the run); it
+// installs the run's chaos plan, retry budget and telemetry as
+// experiments.Overrides on every task's context; and after the run it
+// settles the archive the session writes at Close.
 //
 // The reports come back in task order. Nil reports with an error mean
 // the invocation itself is invalid (a bad chaos plan, a journal from
@@ -246,7 +246,6 @@ func (s *Session) Execute(ctx context.Context, p Plan) ([]engine.Report, error) 
 				return t, ok
 			},
 			Runner: runner,
-			RunCfg: ecfg,
 			// The chaos crash fault class, worker-targeted: exit(3) right
 			// after the Nth streamed outcome instead of the Nth journaled.
 			CrashPoint: campaign.CrashPoint{After: crashAfter},

@@ -29,14 +29,11 @@ type Worker struct {
 	// Resolve maps an assigned task ID to its runnable task. Unknown
 	// IDs fail the whole assignment with 400 before any task runs.
 	Resolve func(id string) (engine.Task, bool)
-	// Runner executes the tasks. Its Breakers should be nil: circuit
-	// breaking is coordinator-central so a family tripping on one
-	// worker propagates to all (DESIGN §3.20).
+	// Runner executes the tasks under BaseSeed and Quick, so execution
+	// can never drift from the verified identity. Its Breakers should be
+	// nil: circuit breaking is coordinator-central so a family tripping
+	// on one worker propagates to all (DESIGN §3.20).
 	Runner *engine.Runner
-	// RunCfg is the engine config tasks run under; its Seed is forced
-	// to BaseSeed so execution can never drift from the verified
-	// identity.
-	RunCfg engine.Config
 
 	// Heartbeat overrides the lease-renewal interval while a task is
 	// still running; 0 derives a third of the assignment's lease.
@@ -119,9 +116,7 @@ func (wk *Worker) serveRun(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	sw := &streamWriter{w: w, f: flusher}
 
-	cfg := wk.RunCfg
-	cfg.Seed = wk.BaseSeed
-	cfg.Quick = wk.Quick
+	cfg := engine.Config{Quick: wk.Quick, Seed: wk.BaseSeed}
 	wk.logf("fabric: worker accepted %d task(s) for run %s", len(tasks), a.RunID)
 	for _, t := range tasks {
 		stop := wk.heartbeat(sw, t.ID, a.Lease())

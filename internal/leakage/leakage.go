@@ -118,9 +118,9 @@ type SignalSummary struct {
 // yield zeros, never NaN/Inf (encoding/json rejects the specials).
 type Report struct {
 	Schema string `json:"schema"`
-	// RunID is the run's causal identity (see internal/runstore),
-	// stamped from the process-wide value set by SetRunID so archived
-	// leakage reports are joinable against their run manifest.
+	// RunID is the run's causal identity (see internal/runstore). Only
+	// the -leakage-out export carries it: WriteLatestReport stamps it so
+	// an archived leakage report is joinable against its run manifest.
 	RunID string `json:"run_id,omitempty"`
 	// Bits is the total observed bit count (all confusion cells).
 	Bits uint64 `json:"bits"`
@@ -156,7 +156,6 @@ type Report struct {
 func (e *Estimator) Report() Report {
 	r := Report{
 		Schema:    Schema,
-		RunID:     RunID(),
 		Confusion: Confusion{Sent0: e.conf[0], Sent1: e.conf[1]},
 		Windows:   e.windows,
 	}
@@ -326,23 +325,6 @@ func PublishReport(r Report) {
 	liveReport.Store(&r)
 }
 
-var liveRunID atomic.Pointer[string]
-
-// SetRunID installs the process-wide run identity stamped into every
-// report Estimator.Report builds from then on.
-func SetRunID(id string) {
-	liveRunID.Store(&id)
-}
-
-// RunID returns the process-wide run identity ("" until SetRunID).
-func RunID() string {
-	p := liveRunID.Load()
-	if p == nil {
-		return ""
-	}
-	return *p
-}
-
 // LatestReport returns a copy of the latest published report, or nil
 // when none has been published.
 func LatestReport() *Report {
@@ -374,13 +356,15 @@ func LatestIntrospection() any {
 	return *p
 }
 
-// WriteLatestReport writes the latest published report as indented
-// JSON — the -leakage-out export. When no report has been published it
-// writes a schema-stamped placeholder with "available": false, so the
-// file is always valid JSON with a recognizable schema.
-func WriteLatestReport(w io.Writer) error {
+// WriteLatestReport writes the latest published report, stamped with
+// runID, as indented JSON — the -leakage-out export. When no report has
+// been published it writes a schema-stamped placeholder with
+// "available": false, so the file is always valid JSON with a
+// recognizable schema.
+func WriteLatestReport(w io.Writer, runID string) error {
 	var doc any
 	if r := LatestReport(); r != nil {
+		r.RunID = runID
 		doc = r
 	} else {
 		doc = struct {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"branchscope/internal/rng"
@@ -223,12 +222,20 @@ func TestPublishSlots(t *testing.T) {
 		t.Errorf("LatestIntrospection = %#v", LatestIntrospection())
 	}
 
+	// The export stamps the run ID it is given; the slot carries none.
 	var buf bytes.Buffer
-	if err := WriteLatestReport(&buf); err != nil {
+	if err := WriteLatestReport(&buf, "bsr-0123"); err != nil {
 		t.Fatalf("WriteLatestReport: %v", err)
 	}
-	if !strings.Contains(buf.String(), Schema) {
-		t.Errorf("report export missing schema: %s", buf.String())
+	var exported Report
+	if err := json.Unmarshal(buf.Bytes(), &exported); err != nil {
+		t.Fatalf("report export is not JSON: %v\n%s", err, buf.String())
+	}
+	if exported.Schema != Schema || exported.RunID != "bsr-0123" || exported.Bits != 20 {
+		t.Errorf("report export = %+v, want schema %s, run ID bsr-0123, 20 bits", exported, Schema)
+	}
+	if id := LatestReport().RunID; id != "" {
+		t.Errorf("published slot carries run ID %q", id)
 	}
 }
 

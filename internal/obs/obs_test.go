@@ -39,7 +39,7 @@ func TestEndpoints(t *testing.T) {
 	tracker.End("fig2", 80*time.Millisecond, "ok", nil)
 	tracker.Begin("table1", 42)
 
-	s := &Server{Program: "test", Metrics: reg, Status: tracker.Status, Ready: tracker.Ready}
+	s := &Server{Program: "test", Metrics: reg, Status: tracker.Status}
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -191,9 +191,6 @@ func TestNilTrackerAndLogger(t *testing.T) {
 	var tr *Tracker
 	tr.Begin("x", 1)
 	tr.End("x", 0, "", nil)
-	if tr.Ready() {
-		t.Error("nil tracker reports ready")
-	}
 	if st := tr.Status(); st.Schema != StatusSchema {
 		t.Errorf("nil tracker status = %+v", st)
 	}

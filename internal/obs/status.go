@@ -227,10 +227,6 @@ func (t *Tracker) End(id string, wall time.Duration, outcome string, err error) 
 	delete(t.started, id)
 }
 
-// Ready reports whether the suite has been declared — the /readyz
-// answer. A nil tracker is never ready.
-func (t *Tracker) Ready() bool { return t != nil }
-
 // Status renders the current progress. Safe on a nil tracker (an empty
 // document), so the obs server works without one.
 func (t *Tracker) Status() Status {

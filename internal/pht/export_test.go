@@ -6,6 +6,9 @@ import (
 	"branchscope/internal/fsm"
 )
 
+// Size returns the number of entries.
+func (t *Table) Size() int { return len(t.entries) }
+
 // Predict returns the predicted direction of entry idx.
 func (t *Table) Predict(idx int) bool {
 	return t.spec.Predict(t.entries[idx])

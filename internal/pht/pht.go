@@ -60,9 +60,6 @@ func (t *Table) SetStochastic(p float64, rnd *rng.Source) {
 	t.stochastic = p < 1 && rnd != nil
 }
 
-// Size returns the number of entries.
-func (t *Table) Size() int { return len(t.entries) }
-
 // Reset returns every entry to the fresh-entry state.
 func (t *Table) Reset() {
 	for i := range t.entries {

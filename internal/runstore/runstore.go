@@ -140,9 +140,12 @@ type BreakerSummary struct {
 }
 
 // Manifest is the branchscope.run/v1 document: the run's identity, its
-// settled outcomes, and every artifact it archived. Everything in it is
-// deterministic per identity — no wall clocks, no timestamps, no
-// volatile digests — which is what lets CI compare manifests with cmp.
+// settled outcomes, and every artifact it archived. It holds no wall
+// clocks, no timestamps and no volatile digests, so it is deterministic
+// per identity — which is what lets CI compare manifests with cmp —
+// except where a task ran into -timeout: that one result-shaping knob
+// is decided by the wall clock, so such runs may settle differently
+// under one run ID, and bsctl diff names the outcomes that differ.
 type Manifest struct {
 	Schema   string   `json:"schema"`
 	RunID    string   `json:"run_id"`
